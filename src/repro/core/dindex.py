@@ -4,7 +4,7 @@ A *skyline* here is a set of mutually non-dominated ``(k, l)`` pairs.
 ``(k', l') <= (k, l)`` iff ``k' <= k`` and ``l' <= l`` (Definition 5.1).
 
 The optimized n-order D-index computation follows the paper's
-optimizations and sharpens the dominance counting:
+optimizations and replaces the inner ``l`` scan with a closed form:
 
 * Optimization-1: candidate ranges bounded by ``k_hi = H({max-k of each
   in-neighbor})`` and ``l_hi = H({max-l of each out-neighbor})``, plus
@@ -12,10 +12,11 @@ optimizations and sharpens the dominance counting:
 * Optimization-2: one D-index computation over *neighbors* (a neighbor
   supports a candidate ``(k, l)`` if any pair of its skyline
   dominates-or-equals it) instead of one per combinatorial instance of
-  neighbor-pair choices. We precompute, per neighbor, the step function
-  ``maxl(k) = max{l' : (k', l') in skyline, k' >= k}`` and sort it
-  column-wise, so each candidate check is a binary search instead of a
-  scan over all neighbors — this matters for hub vertices.
+  neighbor-pair choices. Per neighbor, ``maxl(k) = max{l' : (k', l')
+  in pairs, k' >= k}`` is a suffix max over ``[0, k_hi]``. For a fixed
+  ``k`` both support conditions are downward-closed in ``l``, so the
+  largest qualifying ``l`` is ``min(l_hi, k-th largest in-neighbor
+  maxl(k), H(out-neighbor maxl(k)))``: one sort and one H-index per k.
 * Optimization-3 (tight initialization) lives in
   :mod:`repro.core.skyline`.
 
@@ -23,8 +24,6 @@ A brute-force reference (:func:`n_order_d_index_bruteforce`) backs the
 property tests.
 """
 from __future__ import annotations
-
-import numpy as np
 
 from repro.framework.hindex import h_index
 
@@ -54,15 +53,25 @@ def skyline(pairs) -> list[Pair]:
     return out
 
 
-def _maxl_steps(pairs: list[Pair], k_hi: int) -> np.ndarray:
-    """``maxl[k] = max{l' : (k', l') in skyline(pairs), k' >= k}`` for
-    k in [0, k_hi]; -1 where no pair reaches k."""
-    maxl = np.full(k_hi + 1, -1, dtype=np.int64)
-    # skyline() yields k descending with l ascending, so later (smaller-k,
-    # larger-l) pairs correctly overwrite the prefix.
-    for k, l in skyline(pairs):
-        maxl[: min(k, k_hi) + 1] = l
-    return maxl
+def _maxl_columns(
+    skylines: list[list[Pair]], k_hi: int, floor: int
+) -> list[tuple[int, ...]]:
+    """``cols[k][i] = maxl_i(k)`` for k in [0, k_hi], or ``floor`` where
+    no pair of neighbor i reaches k."""
+    n = k_hi + 1
+    rows = []
+    for pairs in skylines:
+        # Suffix max: in k-descending order, a pair that raises the best l
+        # so far sets maxl for every k up to its own.
+        row = [floor] * n
+        best = floor
+        for k, l in sorted(pairs, reverse=True):
+            if l > best:
+                best = l
+                k = n if k > k_hi else k + 1
+                row[:k] = [l] * k
+        rows.append(row)
+    return list(zip(*rows))
 
 
 def n_order_d_index(
@@ -71,41 +80,30 @@ def n_order_d_index(
     """Algorithm 6: the n-order D-index from the neighbors' skylines.
 
     Returns the skyline sorted by k descending. ``l_min`` starts at -1 so
-    pairs with l == 0 are reachable; the paper's pseudo-code initialises
+    pairs with l == 0 can be emitted; the paper's pseudo-code initialises
     it to 0, but its own worked example (Table 2) contains pairs such as
-    ``(2, 0)``, which requires scanning down to l = 0.
+    ``(2, 0)``.
     """
-    k_hi = h_index(max((k for k, _ in s), default=0) for s in in_skylines)
-    l_hi = h_index(max((l for _, l in s), default=0) for s in out_skylines)
-    # Column-sorted support tables: supports_in[k] = sorted maxl values
-    # over in-neighbors; a neighbor supports (k, l) iff its maxl(k) >= l.
-    if in_skylines:
-        m_in = np.sort(
-            np.stack([_maxl_steps(s, k_hi) for s in in_skylines]), axis=0
-        )
-    else:
-        m_in = np.empty((0, k_hi + 1), dtype=np.int64)
-    if out_skylines:
-        m_out = np.sort(
-            np.stack([_maxl_steps(s, k_hi) for s in out_skylines]), axis=0
-        )
-    else:
-        m_out = np.empty((0, k_hi + 1), dtype=np.int64)
-
-    def n_support(m: np.ndarray, k: int, l: int) -> int:
-        col = m[:, k]
-        return col.size - int(np.searchsorted(col, l, side="left"))
-
+    k_hi = h_index(max(s)[0] if s else 0 for s in in_skylines)
+    # k_hi <= len(in_skylines), so every in-column has a k-th largest.
+    # In-rows use -1 for "supports no l"; out-rows use 0, which supports
+    # only l = 0 and so leaves the H-index unchanged. With no
+    # out-neighbors every out-column is empty, so every H is 0.
+    cols_in = _maxl_columns(in_skylines, k_hi, -1)
+    cols_out = _maxl_columns(out_skylines, k_hi, 0) or [()] * (k_hi + 1)
+    l_hi = h_index(cols_out[0])  # maxl(0) is each out-neighbor's max l
     result: list[Pair] = []
     l_min = -1
     for k in range(k_hi, -1, -1):
-        for l in range(l_hi, l_min, -1):
-            if n_support(m_in, k, l) < k:
-                continue
-            if n_support(m_out, k, l) >= l:
-                result.append((k, l))
-                l_min = l
-                break
+        l = l_hi
+        if k:
+            l = min(l, sorted(cols_in[k], reverse=True)[k - 1])
+        if l <= l_min:
+            continue
+        l = min(l, h_index(cols_out[k]))
+        if l > l_min:
+            result.append((k, l))
+            l_min = l
     return result
 
 

@@ -45,6 +45,10 @@ class SkylineProgram(VertexProgram):
         new = n_order_d_index(in_sky, out_sky)
         return new if new != value else value
 
+    def payload_size(self, value: list[Pair]) -> int:
+        """Two ints per pair: the generic walk's count, without the walk."""
+        return 2 * len(value)
+
     def to_json_obj(self, value):
         return None if value is None else [list(p) for p in value]
 

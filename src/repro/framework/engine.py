@@ -151,14 +151,16 @@ class SparkEngine:
         self.spark = spark
         self.partition = dict(partition)
         self.n_blocks = n_blocks or (max(partition.values()) + 1 if partition else 1)
-        e = (
-            edges.select(
-                F.col(edges.columns[0]).cast("long").alias("src"),
-                F.col(edges.columns[1]).cast("long").alias("dst"),
-            )
-            .where("src <> dst")
-            .dropDuplicates(["src", "dst"])
+        raw = edges.select(
+            F.col(edges.columns[0]).cast("long").alias("src"),
+            F.col(edges.columns[1]).cast("long").alias("dst"),
         )
+        # Every endpoint is a vertex, including one whose only edge is a
+        # self-loop; self-loops and duplicate edges are then dropped.
+        verts = raw.select(F.col("src").alias("vid")).union(
+            raw.select(F.col("dst").alias("vid"))
+        ).distinct()
+        e = raw.where("src <> dst").dropDuplicates(["src", "dst"])
         self.edges = e
         in_n = e.groupBy(F.col("dst").alias("vid")).agg(
             F.collect_list("src").alias("in_nbrs")
@@ -166,9 +168,6 @@ class SparkEngine:
         out_n = e.groupBy(F.col("src").alias("vid")).agg(
             F.collect_list("dst").alias("out_nbrs")
         )
-        verts = e.select(F.col("src").alias("vid")).union(
-            e.select(F.col("dst").alias("vid"))
-        ).distinct()
         adj = (
             verts.join(in_n, "vid", "left")
             .join(out_n, "vid", "left")

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-import numpy as np
-
 
 def h_index(values: Iterable[int]) -> int:
     """Return ``H(S)``: the max ``h`` with at least ``h`` elements ``>= h``.
@@ -21,31 +19,13 @@ def h_index(values: Iterable[int]) -> int:
     >>> h_index([1, 2, 3, 3, 4, 6])
     3
     """
-    a = np.asarray(list(values), dtype=np.int64)
-    if a.size == 0:
-        return 0
-    if (a < 0).any():
+    a = sorted(values, reverse=True)
+    if a and a[-1] < 0:
         raise ValueError("h_index is defined for non-negative integers")
-    # Counting-sort formulation: h = max h with |{x >= h}| >= h. Clip
-    # values above n (an element > n can never raise H above n).
-    n = a.size
-    counts = np.bincount(np.minimum(a, n), minlength=n + 1)
-    ge = 0  # number of elements >= h, scanning h from n down to 1
-    for h in range(n, 0, -1):
-        ge += counts[h]
-        if ge >= h:
-            return h
-    return 0
-
-
-def h_index_sorted_desc(sorted_desc: np.ndarray) -> int:
-    """H-index of an already descending-sorted int array (fast path)."""
-    n = sorted_desc.size
-    if n == 0:
-        return 0
-    ranks = np.arange(1, n + 1)
-    ok = sorted_desc >= ranks
-    if not ok.any():
-        return 0
-    # ok is a prefix (sorted desc vs increasing rank): last True index + 1.
-    return int(np.nonzero(ok)[0][-1] + 1)
+    # Descending order: the h-th largest is >= h exactly for a prefix of h.
+    h = 0
+    for x in a:
+        if x <= h:
+            break
+        h += 1
+    return h

@@ -102,3 +102,17 @@ def test_all_variants_agree(results, name):
     base = results[(name, "AC", "vertex")].anchored
     for algo, mode in ALGOS[1:]:
         assert results[(name, algo, mode)].anchored == base
+
+
+#: EXPERIMENTS.md's Exp-3 rows (hash partitioner, 8 blocks):
+#: (rounds, messages, volume in integer units).
+EXP3 = {
+    ("SL", "SC", "block"): (49, 160_618, 575_882),
+    ("AM", "AC", "vertex"): (24, 190_075, 698_340),
+}
+
+
+@pytest.mark.parametrize("key", sorted(EXP3))
+def test_exp3_counts(results, key):
+    res = results[key]
+    assert (res.total_rounds, res.total_messages, res.total_volume) == EXP3[key]

@@ -104,10 +104,14 @@ def test_table2_v8_first_iteration():
     assert n_order_d_index(in_sky, out_sky) == [(2, 0), (1, 1)]
 
 
-pair_lists = st.lists(
-    st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=3),
-    max_size=7,
+#: SkylineProgram's stand-in for a neighbor whose D-index has not arrived.
+TOP = [(1 << 30, 1 << 30)]
+# Unsorted pair lists with dominated pairs: the kernel must not assume its
+# inputs are skylines. One neighbor in four is the TOP sentinel.
+nbr_pairs = st.lists(
+    st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=1, max_size=5
 )
+pair_lists = st.lists(st.one_of([nbr_pairs] * 3 + [st.just(TOP)]), max_size=20)
 
 
 @settings(max_examples=200, deadline=None)

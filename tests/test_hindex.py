@@ -1,11 +1,10 @@
 """H-index kernel tests (Definition of H plus properties the paper's
 convergence proofs rely on)."""
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.framework.hindex import h_index, h_index_sorted_desc
+from repro.framework.hindex import h_index
 
 
 @pytest.mark.parametrize(
@@ -76,9 +75,3 @@ def test_h_index_antitone_in_decrease(values):
     lowered = list(values)
     lowered[0] = max(0, lowered[0] - 1)
     assert h_index(lowered) <= h_index(values)
-
-
-@given(st.lists(st.integers(min_value=0, max_value=40), max_size=30))
-def test_h_index_sorted_desc_agrees(values):
-    arr = np.sort(np.array(values, dtype=np.int64))[::-1]
-    assert h_index_sorted_desc(arr) == h_index(values)

@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baseline.peeling import peel_decompose
-from repro.core.anchored import anchored_to_skyline, run_anchored
+from repro.core.anchored import HIndexProgram, anchored_to_skyline, run_anchored
 from repro.core.dindex import dominates_or_equal, skyline
-from repro.core.skyline import run_skyline, skyline_to_anchored
+from repro.core.skyline import SkylineProgram, run_skyline, skyline_to_anchored
 from repro.framework.local_engine import LocalEngine
 from repro.framework.partition import PARTITIONERS
 from tests.test_anchored_local import GRAPHS
@@ -89,8 +89,6 @@ def test_skyline_fewer_entries_than_anchored():
 def test_tight_initialization_dominates_final():
     """Optimization-3's premise (Theorem 5.2): (k_max(v), l_max(v))
     dominates every final skyline pair of v."""
-    from repro.core.anchored import HIndexProgram
-
     edges = GRAPHS["chung_lu"]
     eng = LocalEngine(edges)
     kmax, _ = eng.run(HIndexProgram("in"), mode="block")
@@ -117,3 +115,8 @@ def test_skyline_random_graphs(edges, mode, n_blocks):
     eng = LocalEngine(edges, part)
     sc, _ = run_skyline(eng, mode=mode)
     assert sc == anchored_to_skyline(peel_decompose(edges)[0])
+    # SkylineProgram's 2-per-pair payload size is the count of the generic
+    # walk, which HIndexProgram inherits from VertexProgram unchanged.
+    walk = HIndexProgram("in").payload_size
+    for pairs in sc.values():
+        assert SkylineProgram().payload_size(pairs) == walk(pairs)

@@ -89,6 +89,23 @@ def test_spark_engine_on_paper_figure2(spark):
     }
 
 
+@pytest.mark.parametrize("as_df", [False, True], ids=["list", "dataframe"])
+def test_degenerate_edges_every_endpoint_is_a_vertex(spark, as_df):
+    """The one input rule: every edge endpoint is a vertex (3 and 4 have
+    only a self-loop), self-loops and duplicate edges are dropped."""
+    edges = [(1, 2), (2, 1), (3, 3), (1, 2), (2, 2), (4, 4), (4, 4)]
+    peel = peel_decompose(edges)[0]
+    assert set(peel) == {1, 2, 3, 4}
+    kw = dict(algo="SC", mode="block", n_blocks=2)
+    res = decompose(spark, edges_to_spark(spark, edges) if as_df else edges,
+                    engine="spark", **kw)
+    local = decompose(None, edges, engine="local", **kw)
+    assert res.anchored == local.anchored == peel
+    assert res.skyline == anchored_to_skyline(peel)
+    assert res.rounds == local.rounds
+    assert res.total_messages == local.total_messages
+
+
 def test_spark_engine_restores_shuffle_partitions(spark, spark_engine):
     before = spark.conf.get("spark.sql.shuffle.partitions")
     spark_engine.run(HIndexProgram("in"), mode="vertex")
