@@ -15,7 +15,5 @@ Package map:
 * :mod:`repro.graphs` — deterministic digraph generators, the analog
   datasets standing in for the paper's SNAP/LAW graphs, and Spark-side
   graph statistics.
-* :mod:`repro.synth_data` / :mod:`repro.oracle` — provided TPC-H-lite
-  generators (extended with graph re-exports) and the DuckDB
-  result-equality checker.
+* :mod:`repro.oracle` — the DuckDB result-equality checker.
 """

@@ -19,8 +19,10 @@ in rounds × latency and message volume.
 """
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass
+
+from repro.framework.local_engine import adjacency
 
 Edge = tuple[int, int]
 
@@ -33,30 +35,14 @@ class PeelingStats:
     messages: int = 0  # graph collection + per-deletion neighbor updates
 
 
-def _simple_adj(edges: list[Edge]):
-    seen: set[Edge] = set()
-    in_n: dict[int, list[int]] = defaultdict(list)
-    out_n: dict[int, list[int]] = defaultdict(list)
-    verts: set[int] = set()
-    for u, v in edges:
-        verts.add(u)
-        verts.add(v)
-        if u == v or (u, v) in seen:
-            continue
-        seen.add((u, v))
-        out_n[u].append(v)
-        in_n[v].append(u)
-    return verts, in_n, out_n, len(seen)
-
-
 def in_coreness(edges: list[Edge]) -> dict[int, int]:
     """``k_max(v)``: the max k with v in a non-empty (k,0)-core.
 
     Bucket-queue peel on in-degrees; removing a vertex decrements the
     in-degree of its out-neighbors. O(n + m).
     """
-    verts, in_n, out_n, _ = _simple_adj(edges)
-    deg = {v: len(in_n.get(v, ())) for v in verts}
+    in_n, out_n = adjacency(edges)
+    deg = {v: len(t) for v, t in in_n.items()}
     maxd = max(deg.values(), default=0)
     buckets: list[list[int]] = [[] for _ in range(maxd + 1)]
     for v, d in deg.items():
@@ -93,7 +79,9 @@ def peel_decompose(
     Returns ``(anchored, stats)`` with ``anchored[v] = [l_max(0,v), ...,
     l_max(k_max(v), v)]`` and the distributed cost-model counters.
     """
-    verts, in_n, out_n, m = _simple_adj(edges)
+    in_n, out_n = adjacency(edges)
+    verts = set(in_n)
+    m = sum(len(t) for t in out_n.values())
     kmax = in_coreness(edges)
     stats = PeelingStats(messages=m)  # coordinator collects the graph
     anchored = {v: [] for v in verts}

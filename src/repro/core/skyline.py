@@ -10,11 +10,10 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.core.anchored import HIndexProgram
+from repro.core.anchored import BIG, HIndexProgram
 from repro.core.dindex import Pair, n_order_d_index, skyline
 from repro.framework.block_runtime import VertexCtx, VertexProgram
 
-BIG = 1 << 30
 #: Skyline used for neighbors whose D-index has not arrived yet —
 #: dominates everything, hence safe for the monotone decreasing iteration.
 _TOP = [(BIG, BIG)]
@@ -48,12 +47,6 @@ class SkylineProgram(VertexProgram):
     def payload_size(self, value: list[Pair]) -> int:
         """Two ints per pair: the generic walk's count, without the walk."""
         return 2 * len(value)
-
-    def to_json_obj(self, value):
-        return None if value is None else [list(p) for p in value]
-
-    def from_json_obj(self, obj):
-        return None if obj is None else [(int(k), int(l)) for k, l in obj]
 
 
 def run_skyline(engine, mode: str = "vertex"):

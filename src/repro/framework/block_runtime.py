@@ -64,19 +64,6 @@ class VertexProgram(ABC):
         neighbor's vid to its last known value, or :data:`UNKNOWN`.
         """
 
-    # JSON round-tripping for the Spark engine; override when the value
-    # contains tuples (JSON decodes them as lists).
-    def to_json_obj(self, value: Any) -> Any:
-        return value
-
-    def from_json_obj(self, obj: Any) -> Any:
-        return obj
-
-    def normalize_attrs(self, attrs: dict[str, Any]) -> dict[str, Any]:
-        """Repair attrs after a JSON round-trip (e.g. int dict keys that
-        became strings). Must be idempotent; default is identity."""
-        return attrs
-
     def payload_size(self, value: Any) -> int:
         """Communication volume of one message carrying ``value``, in
         integer units. AC's Phase II/III messages carry an l-array per k
@@ -115,6 +102,21 @@ class VRec:
     cache: dict[int, Any] = field(default_factory=dict)
     changed_round: int = 0
     self_active: bool = False  # re-check next round after a self-change (VC)
+
+
+def new_rec(
+    program: VertexProgram,
+    vid: int,
+    in_nbrs: tuple[int, ...],
+    out_nbrs: tuple[int, ...],
+    attrs: dict[str, Any],
+    partition: dict[int, int],
+) -> VRec:
+    """A vertex's state before round 0: its context, its block, and the
+    (vid, block) routing list of its value's consumers."""
+    ctx = VertexCtx(vid=vid, in_nbrs=in_nbrs, out_nbrs=out_nbrs, attrs=attrs)
+    consumers = tuple((c, partition[c]) for c in program.consumers(ctx))
+    return VRec(ctx=ctx, block=partition[vid], consumers=consumers)
 
 
 #: A message: (dst_block, dst_vid, src_vid, payload).

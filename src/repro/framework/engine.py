@@ -22,12 +22,17 @@ the cached round outputs accumulate in executor memory). A file
 round-trip resets stats to actual bytes, truncates lineage, and leaves
 nothing cached.
 
-Vertex state, neighbor caches and message payloads travel as JSON columns
-— the engine is generic over the program's value type.
+Every row of a superstep's output is ``kind, block, vid, src,
+changed_round, size`` plus one opaque ``data binary`` column: a state row
+(``kind = "s"``) carries the pickled :class:`VRec`, a message row
+(``kind = "m"``) the pickled payload. The programs never see the wire
+format, and the engine is generic over their value types. The pickles are
+only ever read back from rows this engine wrote to its own ``mkdtemp``
+workdir in the same run, never from user input.
 """
 from __future__ import annotations
 
-import json
+import pickle
 import shutil
 import tempfile
 from pathlib import Path
@@ -38,98 +43,41 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.framework.block_runtime import (
+    Message,
     RunStats,
-    VertexCtx,
     VertexProgram,
     VRec,
     init_block,
+    new_rec,
     run_block_round,
 )
 
 _SCHEMA = (
-    "kind string, block long, vid long, src long, payload string, "
-    "in_nbrs string, out_nbrs string, consumers string, attrs string, "
-    "value string, cache string, changed_round long, self_active boolean, "
-    "size long"
+    "kind string, block long, vid long, src long, changed_round long, "
+    "size long, data binary"
 )
-
-def _recs_from_pdf(pdf: pd.DataFrame, program: VertexProgram) -> dict[int, VRec]:
-    recs: dict[int, VRec] = {}
-    for row in pdf.itertuples(index=False):
-        ctx = VertexCtx(
-            vid=int(row.vid),
-            in_nbrs=tuple(json.loads(row.in_nbrs)),
-            out_nbrs=tuple(json.loads(row.out_nbrs)),
-            attrs=program.normalize_attrs(json.loads(row.attrs)),
-        )
-        rec = VRec(
-            ctx=ctx,
-            block=int(row.block),
-            consumers=tuple((int(c), int(b)) for c, b in json.loads(row.consumers)),
-            value=program.from_json_obj(json.loads(row.value)) if row.value else None,
-            cache={
-                int(k): program.from_json_obj(v)
-                for k, v in json.loads(row.cache).items()
-            },
-            changed_round=int(row.changed_round),
-            self_active=bool(row.self_active),
-        )
-        recs[ctx.vid] = rec
-    return recs
+_COLS = [c.split()[0] for c in _SCHEMA.split(", ")]
 
 
-def _rows_from_recs(
-    recs: dict[int, VRec], program: VertexProgram
-) -> list[dict[str, Any]]:
-    rows = []
-    for vid, r in recs.items():
-        rows.append(
-            {
-                "kind": "s",
-                "block": r.block,
-                "vid": vid,
-                "src": None,
-                "payload": None,
-                "in_nbrs": json.dumps(list(r.ctx.in_nbrs)),
-                "out_nbrs": json.dumps(list(r.ctx.out_nbrs)),
-                "consumers": json.dumps([list(c) for c in r.consumers]),
-                "attrs": json.dumps(r.ctx.attrs),
-                "value": json.dumps(program.to_json_obj(r.value)),
-                "cache": json.dumps(
-                    {str(k): program.to_json_obj(v) for k, v in r.cache.items()}
-                ),
-                "changed_round": r.changed_round,
-                "self_active": r.self_active,
-                "size": None,
-            }
-        )
-    return rows
-
-
-def _msg_rows(msgs, program: VertexProgram) -> list[dict[str, Any]]:
-    return [
-        {
-            "kind": "m",
-            "block": dblock,
-            "vid": dvid,
-            "src": svid,
-            "payload": json.dumps(program.to_json_obj(payload)),
-            "in_nbrs": None, "out_nbrs": None, "consumers": None,
-            "attrs": None, "value": None, "cache": None,
-            "changed_round": None, "self_active": None,
-            "size": program.payload_size(payload),
-        }
+def _encode(
+    recs: dict[int, VRec], msgs: list[Message], program: VertexProgram
+) -> pd.DataFrame:
+    """One output frame: a state row per vertex, a message row per message."""
+    rows = [
+        ("s", r.block, vid, None, r.changed_round, None, pickle.dumps(r))
+        for vid, r in recs.items()
+    ]
+    rows += [
+        ("m", dblock, dvid, svid, None, program.payload_size(payload),
+         pickle.dumps(payload))
         for dblock, dvid, svid, payload in msgs
     ]
+    return pd.DataFrame(rows, columns=_COLS)
 
 
-def _out_pdf(rows: list[dict[str, Any]]) -> pd.DataFrame:
-    cols = [
-        "kind", "block", "vid", "src", "payload", "in_nbrs", "out_nbrs",
-        "consumers", "attrs", "value", "cache", "changed_round", "self_active",
-        "size",
-    ]
-    return pd.DataFrame(rows, columns=cols)
+def _decode(pdf: pd.DataFrame) -> list[Any]:
+    """The unpickled ``data`` column of a frame :func:`_encode` wrote."""
+    return [pickle.loads(d) for d in pdf["data"]]
 
 
 class SparkEngine:
@@ -196,35 +144,16 @@ class SparkEngine:
         attrs = attrs or {}
 
         def build(pdf: pd.DataFrame) -> pd.DataFrame:
-            rows = []
+            recs = {}
             for row in pdf.itertuples(index=False):
                 vid = int(row.vid)
-                ctx = VertexCtx(
-                    vid=vid,
-                    in_nbrs=tuple(int(x) for x in row.in_nbrs),
-                    out_nbrs=tuple(int(x) for x in row.out_nbrs),
-                    attrs=attrs.get(vid, {}),
+                recs[vid] = new_rec(
+                    program, vid,
+                    tuple(int(x) for x in row.in_nbrs),
+                    tuple(int(x) for x in row.out_nbrs),
+                    attrs.get(vid, {}), part,
                 )
-                cons = [[int(c), part[int(c)]] for c in program.consumers(ctx)]
-                rows.append(
-                    {
-                        "kind": "s",
-                        "block": part[vid],
-                        "vid": vid,
-                        "src": None,
-                        "payload": None,
-                        "in_nbrs": json.dumps(list(ctx.in_nbrs)),
-                        "out_nbrs": json.dumps(list(ctx.out_nbrs)),
-                        "consumers": json.dumps(cons),
-                        "attrs": json.dumps(ctx.attrs),
-                        "value": json.dumps(None),
-                        "cache": json.dumps({}),
-                        "changed_round": 0,
-                        "self_active": False,
-                        "size": None,
-                    }
-                )
-            return _out_pdf(rows)
+            return _encode(recs, [], program)
 
         return self._adj.mapInPandas(
             lambda it: (build(pdf) for pdf in it), _SCHEMA
@@ -264,10 +193,10 @@ class SparkEngine:
 
     def _run_rounds(self, program, mode, attrs, max_rounds, stats, workdir):
         def init_fn(pdf: pd.DataFrame) -> pd.DataFrame:
-            recs = _recs_from_pdf(pdf, program)
+            recs = {r.ctx.vid: r for r in _decode(pdf)}
             bid = int(pdf["block"].iloc[0])
             msgs = init_block(bid, recs, program, mode)
-            return _out_pdf(_rows_from_recs(recs, program) + _msg_rows(msgs, program))
+            return _encode(recs, msgs, program)
 
         state0 = self._initial_state(program, attrs)
         out = self._materialize(
@@ -292,22 +221,15 @@ class SparkEngine:
             # parameters — Spark dispatches on arity and would otherwise
             # pass the grouping key as a first tuple argument.
             def round_fn(left: pd.DataFrame, right: pd.DataFrame) -> pd.DataFrame:
-                recs = _recs_from_pdf(left, program)
+                recs = {r.ctx.vid: r for r in _decode(left)}
                 bid = int(left["block"].iloc[0])
-                incoming = [
-                    (
-                        int(m.vid),
-                        int(m.src),
-                        program.from_json_obj(json.loads(m.payload)),
-                    )
-                    for m in right.itertuples(index=False)
-                ]
+                incoming = list(zip(
+                    right["vid"].tolist(), right["src"].tolist(), _decode(right)
+                ))
                 _, out_msgs = run_block_round(
                     bid, recs, incoming, program, mode, round_no
                 )
-                return _out_pdf(
-                    _rows_from_recs(recs, program) + _msg_rows(out_msgs, program)
-                )
+                return _encode(recs, out_msgs, program)
 
             return round_fn
 
@@ -331,7 +253,7 @@ class SparkEngine:
             raise RuntimeError(f"no convergence within {max_rounds} rounds")
 
         values: dict[int, Any] = {}
-        for row in state.select("vid", "value", "changed_round").collect():
-            values[row["vid"]] = program.from_json_obj(json.loads(row["value"]))
+        for row in state.select("vid", "data", "changed_round").collect():
+            values[row["vid"]] = pickle.loads(row["data"]).value
             stats.converge_round[row["vid"]] = row["changed_round"]
         return values, stats

@@ -13,10 +13,10 @@ from typing import Any
 from repro.framework.block_runtime import (
     Message,
     RunStats,
-    VertexCtx,
     VertexProgram,
     VRec,
     init_block,
+    new_rec,
     run_block_round,
 )
 
@@ -69,14 +69,9 @@ class LocalEngine:
             raise ValueError(f"unknown mode {mode!r}")
         blocks: dict[int, dict[int, VRec]] = defaultdict(dict)
         for v in self.vertices:
-            ctx = VertexCtx(
-                vid=v,
-                in_nbrs=self.in_nbrs[v],
-                out_nbrs=self.out_nbrs[v],
-                attrs=(attrs or {}).get(v, {}),
-            )
-            cons = tuple((c, self.partition[c]) for c in program.consumers(ctx))
-            blocks[self.partition[v]][v] = VRec(ctx=ctx, block=self.partition[v], consumers=cons)
+            rec = new_rec(program, v, self.in_nbrs[v], self.out_nbrs[v],
+                          (attrs or {}).get(v, {}), self.partition)
+            blocks[rec.block][v] = rec
 
         def volume(msgs: list[Message]) -> int:
             return sum(program.payload_size(m[3]) for m in msgs)

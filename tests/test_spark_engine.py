@@ -51,6 +51,8 @@ def test_hindex_program_engine_invariance(spark_engine, mode, direction):
     assert ss.rounds == ls.rounds
     assert ss.msgs_per_round == ls.msgs_per_round
     assert ss.changed_per_round == ls.changed_per_round
+    assert ss.volume_per_round == ls.volume_per_round
+    assert ss.converge_round == ls.converge_round
 
 
 @pytest.mark.parametrize("algo,mode", [
@@ -67,14 +69,23 @@ def test_decompose_spark_correct(spark, algo, mode, peel):
     assert res.total_messages > 0
 
 
-def test_decompose_engines_agree_on_stats(spark, peel):
-    """Rounds and message counts are engine-invariant by construction."""
-    kw = dict(algo="SC", mode="block", partitioner="metis", n_blocks=4)
+@pytest.mark.parametrize("algo", ["AC", "SC"])
+def test_decompose_engines_agree_on_stats(spark, peel, algo):
+    """Rounds, message counts and volumes are engine-invariant by
+    construction, in every phase — including AC's Phases II/III, whose
+    int-keyed ``nbr_kmax`` attrs must survive the Spark superstep rows."""
+    kw = dict(algo=algo, mode="block", partitioner="metis", n_blocks=4)
     r_spark = decompose(spark, edges_to_spark(spark, EDGES), engine="spark", **kw)
     r_local = decompose(None, EDGES, engine="local", **kw)
-    assert r_spark.anchored == r_local.anchored
+    assert r_spark.anchored == r_local.anchored == peel
     assert r_spark.rounds == r_local.rounds
     assert r_spark.total_messages == r_local.total_messages
+    assert r_spark.stats.keys() == r_local.stats.keys()
+    for phase, ls in r_local.stats.items():
+        ss = r_spark.stats[phase]
+        assert ss.msgs_per_round == ls.msgs_per_round, phase
+        assert ss.changed_per_round == ls.changed_per_round, phase
+        assert ss.volume_per_round == ls.volume_per_round, phase
 
 
 def test_spark_engine_on_paper_figure2(spark):
