@@ -2,7 +2,8 @@
 
 Decomposes a named analog dataset (or an edge parquet/CSV with columns
 src, dst) and writes the anchored and skyline corenesses as parquet,
-plus a JSON stats summary.
+plus a JSON stats summary: per-phase rounds, messages and communication
+volume (integer units, Fig. 4(b)), and their totals.
 
 Usage:
   python jobs/run_decomposition.py --dataset WV --algo SC --mode block \
@@ -53,8 +54,11 @@ def main() -> None:
     )
     summary = {
         "algo": res.algo, "mode": res.mode, "rounds": res.rounds,
+        "messages": {p: s.total_messages for p, s in res.stats.items()},
+        "volume": {p: s.total_volume for p, s in res.stats.items()},
         "total_rounds": res.total_rounds,
         "total_messages": res.total_messages,
+        "total_volume": res.total_volume,
         "wall_seconds": round(res.wall_seconds, 2),
         "n_vertices": len(res.anchored),
     }

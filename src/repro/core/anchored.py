@@ -51,6 +51,20 @@ class HIndexProgram(VertexProgram):
         h = h_index(min(cache.get(u, BIG), BIG) for u in nbrs)
         return min(value, h)
 
+    def affected(self, value: int, old: int | None, new: int) -> bool:
+        """The neighbor stops counting towards ``h >= value``."""
+        return value > new and (old is None or old >= value)
+
+
+def _levels_affected(value: list[int], old: list[int] | None, new: list[int]) -> bool:
+    """Per-level H-index test of Phases II/III: at some level k the
+    neighbor stops counting towards ``value[k]``. A neighbor's array has
+    ``k_max + 1`` levels, so ``zip`` tests only the levels k where it is
+    in G[k]."""
+    if old is None:
+        return any(v > n for v, n in zip(value, new))
+    return any(o >= v > n for o, v, n in zip(old, value, new))
+
 
 class LUppProgram(VertexProgram):
     """Phase II: batch upper bounds ``l_upp(k, v)``, k in [0, k_max(v)].
@@ -86,6 +100,13 @@ class LUppProgram(VertexProgram):
             if h < new[k]:
                 new[k] = h
         return new if new != value else value
+
+    def affected(self, value: list[int], old: list[int] | None, new: list[int]) -> bool:
+        return _levels_affected(value, old, new)
+
+    def payload_size(self, value: list[int]) -> int:
+        """One int per level: the generic walk's count, without the walk."""
+        return len(value)
 
 
 class RefineProgram(VertexProgram):
@@ -133,6 +154,13 @@ class RefineProgram(VertexProgram):
             if n_out < cur:
                 new[k] = cur - 1
         return new if new != value else value
+
+    def affected(self, value: list[int], old: list[int] | None, new: list[int]) -> bool:
+        return _levels_affected(value, old, new)
+
+    def payload_size(self, value: list[int]) -> int:
+        """One int per level: the generic walk's count, without the walk."""
+        return len(value)
 
 
 def neighbor_attr_map(

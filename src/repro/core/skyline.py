@@ -44,6 +44,30 @@ class SkylineProgram(VertexProgram):
         new = n_order_d_index(in_sky, out_sky)
         return new if new != value else value
 
+    def affected(
+        self, value: list[Pair], old: list[Pair] | None, new: list[Pair]
+    ) -> bool:
+        """Some pair of ``value`` is dominated-or-equalled by a pair of
+        ``old`` and by no pair of ``new``: the neighbor stops supporting it.
+
+        All three are k-descending skylines, so the pairs with ``k' >= k``
+        form a prefix whose last pair has the largest l. One merged scan
+        tracks that l for ``old`` and ``new`` as k falls."""
+        if old is None:
+            old = _TOP
+        i = j = 0
+        l_old = l_new = -1
+        for k, l in value:
+            while i < len(old) and old[i][0] >= k:
+                l_old = old[i][1]
+                i += 1
+            while j < len(new) and new[j][0] >= k:
+                l_new = new[j][1]
+                j += 1
+            if l_old >= l > l_new:
+                return True
+        return False
+
     def payload_size(self, value: list[Pair]) -> int:
         """Two ints per pair: the generic walk's count, without the walk."""
         return 2 * len(value)

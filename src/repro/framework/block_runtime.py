@@ -17,6 +17,16 @@ All programs used here are monotone (values only decrease in a
 well-founded order), so the asynchronous within-block schedule converges
 to the same fixpoint as the synchronous one; tests assert this against
 the peeling oracle.
+
+Activation rule (after Montresor et al., "Distributed k-Core
+Decomposition", TPDS 2013): a delivery of a neighbor's new value wakes its
+receiver only if :meth:`VertexProgram.affected` says the drop from the
+cached old value can change the receiver's value. This is exact because
+a vertex that is neither queued nor self-active is up to date — its value
+equals ``update`` of its cache — and a delivery that leaves every
+supporter of that value in place leaves ``update``'s result unchanged.
+Values and per-round messages/changes/volume are therefore the same as
+when every receiver is woken.
 """
 from __future__ import annotations
 
@@ -63,6 +73,14 @@ class VertexProgram(ABC):
         Must be monotone non-increasing. ``cache`` maps a consumed
         neighbor's vid to its last known value, or :data:`UNKNOWN`.
         """
+
+    def affected(self, value: Any, old: Any, new: Any) -> bool:
+        """Whether replacing one consumed neighbor's cached ``old`` value
+        (:data:`UNKNOWN` counts as the top value) by ``new`` can change
+        what ``update`` returns for a receiver whose ``value`` is up to
+        date. False must be exact: the runtime then skips the receiver's
+        update. The default wakes the receiver on every delivery."""
+        return True
 
     def payload_size(self, value: Any) -> int:
         """Communication volume of one message carrying ``value``, in
@@ -161,15 +179,25 @@ def run_block_round(
     are message-driven, plus vertices that changed in the previous round
     (a vertex whose own decrement may re-trigger its own constraint must
     re-check itself — e.g. Algorithm 4's one-per-round decrements).
-    """
-    for dst, src, payload in incoming:
-        recs[dst].cache[src] = payload
 
-    if round_no == 1:
-        active = list(recs.keys())
-    else:
-        active = list(dict.fromkeys(dst for dst, _, _ in incoming))
-        active += [v for v, r in recs.items() if r.self_active and v not in set(active)]
+    A message, or in block mode a same-block delivery to a consumer that
+    is not already queued, activates its receiver only if
+    ``program.affected(value, old, new)`` holds for the receiver's value
+    and the cache entry it overwrites. Skipped receivers are up to date
+    and stay so, hence the results do not depend on the filter.
+    """
+    # Insertion-ordered set of woken vertices: all of them in round 1.
+    hit: dict[int, None] = dict.fromkeys(recs) if round_no == 1 else {}
+    for dst, src, payload in incoming:
+        rec = recs[dst]
+        if dst not in hit and program.affected(
+            rec.value, rec.cache.get(src), payload
+        ):
+            hit[dst] = None
+        rec.cache[src] = payload
+
+    active = list(hit)
+    active += [v for v, r in recs.items() if r.self_active and v not in hit]
     for rec in recs.values():
         rec.self_active = False
 
@@ -210,12 +238,15 @@ def run_block_round(
         rec.changed_round = round_no
         changed.add(vid)
         for cid, cblock in rec.consumers:
-            if cblock == block_id and cid not in queued:
-                recs[cid].cache[vid] = new
+            if cblock != block_id:
+                continue
+            crec = recs[cid]
+            if cid not in queued and program.affected(
+                crec.value, crec.cache.get(vid), new
+            ):
                 work.append(cid)
                 queued.add(cid)
-            elif cblock == block_id:
-                recs[cid].cache[vid] = new
+            crec.cache[vid] = new
         if vid not in queued:  # self re-check (e.g. stepwise refinement)
             work.append(vid)
             queued.add(vid)

@@ -9,6 +9,7 @@ from repro.baseline.peeling import in_coreness, peel_decompose
 from repro.core.anchored import (
     HIndexProgram,
     LUppProgram,
+    RefineProgram,
     anchored_to_skyline,
     neighbor_attr_map,
     run_anchored,
@@ -76,6 +77,24 @@ def test_phase2_upper_bounds_dominate_lmax(gname, oracles):
     for v, arr in oracles[gname].items():
         assert len(lupp[v]) == len(arr)
         assert all(u >= l for u, l in zip(lupp[v], arr))
+
+
+@pytest.mark.parametrize("gname", ["er_dense", "planted", "chung_lu_skew"])
+def test_level_payload_size_matches_generic_walk(gname):
+    """LUppProgram/RefineProgram's one-int-per-level payload size is the
+    count of the generic walk, which HIndexProgram inherits from
+    VertexProgram unchanged, on real Phase II/III values."""
+    edges = GRAPHS[gname]
+    eng = LocalEngine(edges)
+    kmax, _ = eng.run(HIndexProgram("in"), mode="block")
+    nbr_kmax = neighbor_attr_map(eng.in_nbrs, eng.out_nbrs, kmax)
+    attrs = {v: {"kmax": kmax[v], "nbr_kmax": nbr_kmax[v]} for v in kmax}
+    lupp, _ = eng.run(LUppProgram(), mode="block", attrs=attrs)
+    lmax, _ = run_anchored(eng, mode="block")
+    walk = HIndexProgram("in").payload_size
+    for arr in list(lupp.values()) + list(lmax.values()):
+        assert LUppProgram().payload_size(arr) == walk(arr)
+        assert RefineProgram().payload_size(arr) == walk(arr)
 
 
 @pytest.mark.parametrize("gname", sorted(GRAPHS))

@@ -1,11 +1,28 @@
 """Block-runtime semantics tests: message accounting, activation rules,
 mode equivalence, and the convergence metrics."""
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from repro.core.anchored import HIndexProgram, run_anchored
-from repro.framework.block_runtime import RunStats, VertexCtx, VertexProgram
+from repro.core import anchored as anchored_mod
+from repro.core import skyline as skyline_mod
+from repro.core.anchored import (
+    HIndexProgram,
+    LUppProgram,
+    RefineProgram,
+    run_anchored,
+)
+from repro.core.dindex import skyline
+from repro.core.skyline import SkylineProgram, run_skyline
+from repro.framework.block_runtime import (
+    UNKNOWN,
+    RunStats,
+    VertexCtx,
+    VertexProgram,
+)
 from repro.framework.local_engine import LocalEngine, adjacency
-from repro.framework.partition import hash_partition, metis_lite_partition
+from repro.framework.partition import PARTITIONERS, hash_partition, metis_lite_partition
+from repro.graphs.datasets import load, paper_figure2
 from repro.graphs.generators import chung_lu_digraph, er_digraph
 
 EDGES = er_digraph(80, 500, seed=2)
@@ -157,3 +174,123 @@ def test_vertex_mode_oscillator_hits_round_cap():
     eng = LocalEngine([(1, 2), (2, 1)])
     with pytest.raises(RuntimeError):
         eng.run(Oscillator(), mode="vertex", max_rounds=50)
+
+
+# --- Activation filter -------------------------------------------------------
+
+SMALL = st.integers(0, 4)
+
+
+def _draw_levels(data, n_levels):
+    return [data.draw(SMALL) for _ in range(n_levels)]
+
+
+def _draw_skyline(data):
+    pairs = data.draw(st.lists(st.tuples(SMALL, SMALL), min_size=1, max_size=4))
+    return skyline(pairs)
+
+
+def _draw_entry(data, prog, nbr_kmax, u):
+    """A neighbor's value as the program's update reads it."""
+    if isinstance(prog, HIndexProgram):
+        return data.draw(SMALL)
+    if isinstance(prog, SkylineProgram):
+        return _draw_skyline(data)
+    return _draw_levels(data, nbr_kmax[u] + 1)
+
+
+def _draw_drop(data, prog, nbr_kmax, u, old):
+    """A neighbor's next value: below or equal to ``old``, any if unknown."""
+    if old is None:
+        return _draw_entry(data, prog, nbr_kmax, u)
+    if isinstance(prog, HIndexProgram):
+        return data.draw(st.integers(0, old))
+    if isinstance(prog, SkylineProgram):
+        return skyline(
+            (data.draw(st.integers(0, k)), data.draw(st.integers(0, l)))
+            for k, l in old
+        )
+    return [data.draw(st.integers(0, x)) for x in old]
+
+
+@pytest.mark.parametrize("prog", [
+    HIndexProgram("in"), HIndexProgram("out"), LUppProgram(), RefineProgram(),
+    SkylineProgram(),
+], ids=lambda p: f"{type(p).__name__}-{p.consumes}")
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_affected_false_means_update_keeps_value(prog, data):
+    """Soundness of the activation filter: for an up-to-date vertex and one
+    neighbor's drop old -> new, ``affected`` is False only if ``update``
+    on the new cache still returns the vertex's value."""
+    nbrs = st.lists(st.integers(1, 6), unique=True, max_size=6).map(tuple)
+    ctx_nbrs = {"in_nbrs": data.draw(nbrs), "out_nbrs": data.draw(nbrs)}
+    nbr_kmax = {u: data.draw(st.integers(0, 3))
+                for u in ctx_nbrs["in_nbrs"] + ctx_nbrs["out_nbrs"]}
+    kmax = data.draw(st.integers(0, 3))
+    ctx = VertexCtx(vid=0, attrs={"kmax": kmax, "nbr_kmax": nbr_kmax},
+                    **ctx_nbrs)
+    consumed = prog.consumed_nbrs(ctx)
+    assume(consumed)
+    # A neighbor missing from the cache has not sent yet: UNKNOWN.
+    cache = {
+        u: _draw_entry(data, prog, nbr_kmax, u)
+        for u in consumed if data.draw(st.booleans())
+    }
+    # Up to date: iterate update from an arbitrary start to its fixpoint.
+    if isinstance(prog, HIndexProgram):
+        value = data.draw(SMALL)
+    elif isinstance(prog, SkylineProgram):
+        value = None
+    else:
+        value = _draw_levels(data, kmax + 1)
+    while (nxt := prog.update(ctx, value, cache)) != value:
+        value = nxt
+
+    u = data.draw(st.sampled_from(consumed))
+    old = cache.get(u, UNKNOWN)
+    new = _draw_drop(data, prog, nbr_kmax, u, old)
+    if not prog.affected(value, old, new):
+        assert prog.update(ctx, value, {**cache, u: new}) == value
+
+
+def _wake_every_receiver(monkeypatch):
+    """Make run_anchored/run_skyline build subclasses of their programs
+    that keep VertexProgram's default ``affected`` (always True)."""
+    for mod, name in [
+        (anchored_mod, "HIndexProgram"), (anchored_mod, "LUppProgram"),
+        (anchored_mod, "RefineProgram"), (skyline_mod, "HIndexProgram"),
+        (skyline_mod, "SkylineProgram"),
+    ]:
+        cls = getattr(mod, name)
+        monkeypatch.setattr(
+            mod, name, type(name, (cls,), {"affected": VertexProgram.affected})
+        )
+
+
+DRIFT_GRAPHS = {"WV": list(load("WV")), "fig2": paper_figure2()}
+
+
+@pytest.mark.parametrize("gname", sorted(DRIFT_GRAPHS))
+@pytest.mark.parametrize("algo", ["AC", "SC"])
+@pytest.mark.parametrize("mode", ["vertex", "block"])
+@pytest.mark.parametrize("pname", ["hash", "metis"])
+def test_activation_filter_does_not_drift(gname, algo, mode, pname, monkeypatch):
+    """Skipping unaffected receivers changes no value and no per-round
+    stat against waking every receiver of every delivery."""
+    edges = DRIFT_GRAPHS[gname]
+    part = PARTITIONERS[pname](edges, 8)
+
+    def run():
+        values, stats = (run_anchored if algo == "AC" else run_skyline)(
+            LocalEngine(edges, part), mode=mode
+        )
+        return values, {
+            phase: (s.msgs_per_round, s.changed_per_round,
+                    s.volume_per_round, s.converge_round)
+            for phase, s in stats.items()
+        }
+
+    filtered = run()
+    _wake_every_receiver(monkeypatch)
+    assert run() == filtered
