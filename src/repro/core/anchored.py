@@ -48,7 +48,7 @@ class HIndexProgram(VertexProgram):
 
     def update(self, ctx: VertexCtx, value: int, cache: dict[int, Any]) -> int:
         nbrs = self.consumed_nbrs(ctx)
-        h = h_index(min(cache.get(u, BIG), BIG) for u in nbrs)
+        h = h_index(BIG if x is None else x for x in map(cache.get, nbrs))
         return min(value, h)
 
     def affected(self, value: int, old: int | None, new: int) -> bool:
@@ -96,7 +96,7 @@ class LUppProgram(VertexProgram):
                     continue
                 arr = cache.get(u)
                 vals.append(BIG if arr is None else arr[k])
-            h = h_index(min(x, BIG) for x in vals)
+            h = h_index(vals)
             if h < new[k]:
                 new[k] = h
         return new if new != value else value

@@ -124,12 +124,7 @@ def decompose(
     if engine == "spark":
         if spark is None:
             raise ValueError("engine='spark' requires a SparkSession")
-        edges_df = edges if isinstance(edges, DataFrame) else None
-        if edges_df is None:
-            from repro.graphs.generators import edges_to_spark
-
-            edges_df = edges_to_spark(spark, edge_list)
-        eng: Any = SparkEngine(spark, edges_df, part, n_blocks)
+        eng: Any = SparkEngine(spark, edge_list, part, n_blocks)
     elif engine == "local":
         eng = LocalEngine(edge_list, part)
     else:

@@ -78,11 +78,11 @@ def run_skyline(engine, mode: str = "vertex"):
 
     Returns ``(sc, stats)`` where ``sc[v]`` is SC(v) (k-descending) and
     ``stats`` holds the D-index loop's RunStats under ``"dindex"`` plus
-    the two H-index initialisation runs (``"init_in"``/``"init_out"``).
+    the two independent H-index initialisation runs (``"init_in"``/``"init_out"``).
     The paper's Table 4 reports the D-index loop rounds as the SC rounds.
     """
-    kmax, s_in = engine.run(HIndexProgram("in"), mode=mode)
-    lmax, s_out = engine.run(HIndexProgram("out"), mode=mode)
+    init = [HIndexProgram("in"), HIndexProgram("out")]
+    (kmax, s_in), (lmax, s_out) = engine.run_many(init, mode=mode)
     attrs = {v: {"init_pair": [kmax[v], lmax[v]]} for v in kmax}
     sc, s_d = engine.run(SkylineProgram(), mode=mode, attrs=attrs)
     sc = {v: skyline(pairs) for v, pairs in sc.items()}

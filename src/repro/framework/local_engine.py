@@ -44,6 +44,31 @@ def adjacency(edges: list[Edge]) -> tuple[dict[int, tuple], dict[int, tuple]]:
     )
 
 
+def init_run(
+    eng, program: VertexProgram, mode: str, attrs: dict[int, dict[str, Any]] | None
+) -> tuple[dict[int, dict[int, VRec]], list[Message], RunStats]:
+    """Round 0 on the graph of ``eng`` (either engine): every vertex's
+    state after ``init_block``, grouped by block in vid order; the messages
+    sent; and the stats so far."""
+    if mode not in ("vertex", "block"):
+        raise ValueError(f"unknown mode {mode!r}")
+    blocks: dict[int, dict[int, VRec]] = defaultdict(dict)
+    for v in eng.vertices:
+        rec = new_rec(program, v, eng.in_nbrs[v], eng.out_nbrs[v],
+                      (attrs or {}).get(v, {}), eng.partition)
+        blocks[rec.block][v] = rec
+    pending: list[Message] = []
+    for bid, recs in blocks.items():
+        pending += init_block(bid, recs, program, mode)
+    stats = RunStats(msgs_per_round=[len(pending)], changed_per_round=[0],
+                     volume_per_round=[_volume(program, pending)])
+    return blocks, pending, stats
+
+
+def _volume(program: VertexProgram, msgs: list[Message]) -> int:
+    return sum(program.payload_size(m[3]) for m in msgs)
+
+
 class LocalEngine:
     """Reference engine over an in-memory edge list.
 
@@ -58,6 +83,19 @@ class LocalEngine:
         if missing:
             raise ValueError(f"partition misses vertices, e.g. {missing[:3]}")
 
+    def run_many(
+        self,
+        programs: list[VertexProgram],
+        mode: str = "vertex",
+        attrs_list: list[dict[int, dict[str, Any]] | None] | None = None,
+        max_rounds: int = 100_000,
+    ) -> list[tuple[dict[int, Any], RunStats]]:
+        """``run`` of each program in turn: in process there is no
+        superstep barrier for independent programs to share."""
+        attrs_list = attrs_list or [None] * len(programs)
+        return [self.run(p, mode, a, max_rounds)
+                for p, a in zip(programs, attrs_list)]
+
     def run(
         self,
         program: VertexProgram,
@@ -65,24 +103,7 @@ class LocalEngine:
         attrs: dict[int, dict[str, Any]] | None = None,
         max_rounds: int = 100_000,
     ) -> tuple[dict[int, Any], RunStats]:
-        if mode not in ("vertex", "block"):
-            raise ValueError(f"unknown mode {mode!r}")
-        blocks: dict[int, dict[int, VRec]] = defaultdict(dict)
-        for v in self.vertices:
-            rec = new_rec(program, v, self.in_nbrs[v], self.out_nbrs[v],
-                          (attrs or {}).get(v, {}), self.partition)
-            blocks[rec.block][v] = rec
-
-        def volume(msgs: list[Message]) -> int:
-            return sum(program.payload_size(m[3]) for m in msgs)
-
-        stats = RunStats()
-        pending: list[Message] = []
-        for bid, recs in blocks.items():
-            pending += init_block(bid, recs, program, mode)
-        stats.msgs_per_round.append(len(pending))
-        stats.changed_per_round.append(0)
-        stats.volume_per_round.append(volume(pending))
+        blocks, pending, stats = init_run(self, program, mode, attrs)
 
         for r in range(1, max_rounds + 1):
             inbox: dict[int, list[tuple[int, int, Any]]] = defaultdict(list)
@@ -101,7 +122,7 @@ class LocalEngine:
                 pending += out
             stats.msgs_per_round.append(len(pending))
             stats.changed_per_round.append(n_changed)
-            stats.volume_per_round.append(volume(pending))
+            stats.volume_per_round.append(_volume(program, pending))
             if not pending and n_changed == 0:
                 break
         else:

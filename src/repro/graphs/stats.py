@@ -64,8 +64,8 @@ def core_limits(spark: SparkSession, edges: DataFrame, mode: str = "block") -> d
 
     pdf = clean_edges(edges).toPandas()
     eng = LocalEngine(list(zip(pdf["src"].tolist(), pdf["dst"].tolist())))
-    kmax, _ = eng.run(HIndexProgram("in"), mode=mode)
-    lmax, _ = eng.run(HIndexProgram("out"), mode=mode)
+    init = [HIndexProgram("in"), HIndexProgram("out")]
+    (kmax, _), (lmax, _) = eng.run_many(init, mode=mode)
     return {
         "kmax": max(kmax.values(), default=0),
         "lmax": max(lmax.values(), default=0),

@@ -21,7 +21,7 @@ PART = hash_partition(EDGES, 3)
 
 @pytest.fixture(scope="module")
 def spark_engine(spark):
-    return SparkEngine(spark, edges_to_spark(spark, EDGES), PART, 3)
+    return SparkEngine(spark, EDGES, PART, 3)
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +86,7 @@ def test_decompose_engines_agree_on_stats(spark, peel, algo):
         assert ss.msgs_per_round == ls.msgs_per_round, phase
         assert ss.changed_per_round == ls.changed_per_round, phase
         assert ss.volume_per_round == ls.volume_per_round, phase
+        assert ss.converge_round == ls.converge_round, phase
 
 
 def test_spark_engine_on_paper_figure2(spark):
@@ -123,9 +124,47 @@ def test_spark_engine_restores_shuffle_partitions(spark, spark_engine):
     assert spark.conf.get("spark.sql.shuffle.partitions") == before
 
 
+def test_spark_engine_labels_jobs_and_restores_description(spark, spark_engine):
+    """Each superstep's jobs are labelled ``<programs>/r<round>``; the
+    caller's job group stays and its description comes back afterwards,
+    also when the run fails."""
+    sc = spark.sparkContext
+    sc.setJobGroup("labels", "caller")
+    try:
+        _, stats = spark_engine.run(HIndexProgram("in"), mode="block")
+        assert sc.getLocalProperty("spark.job.description") == "caller"
+        store = sc._jsc.sc().statusStore()
+        labels = {store.job(j).description().get()
+                  for j in sc.statusTracker().getJobIdsForGroup("labels")}
+        rounds = range(1, len(stats.msgs_per_round))
+        assert labels == {f"HIndexProgram/r{r}" for r in rounds} | {
+            "HIndexProgram/values"}
+        with pytest.raises(RuntimeError, match="no convergence"):
+            spark_engine.run(HIndexProgram("in"), mode="vertex", max_rounds=1)
+        assert sc.getLocalProperty("spark.job.description") == "caller"
+        assert sc.getLocalProperty("spark.jobGroup.id") == "labels"
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        sc.setJobDescription(None)
+
+
+@pytest.mark.parametrize("algo", ["AC", "SC"])
+def test_empty_graph_agrees_across_engines_and_peeling(spark, algo):
+    """No edges, no vertices: every phase is one quiet round."""
+    peel, peel_stats = peel_decompose([])
+    r_spark = decompose(spark, [], algo=algo, engine="spark")
+    r_local = decompose(None, [], algo=algo, engine="local")
+    assert r_spark.anchored == r_local.anchored == peel == {}
+    assert r_spark.skyline == r_local.skyline == {}
+    assert r_spark.total_rounds == r_local.total_rounds == peel_stats.rounds == 0
+    assert r_spark.stats == r_local.stats
+
+
 def test_spark_engine_rejects_partial_partition(spark):
     with pytest.raises(ValueError):
-        SparkEngine(spark, edges_to_spark(spark, EDGES), {0: 0}, 1)
+        SparkEngine(spark, EDGES, {0: 0}, 1)
+    with pytest.raises(ValueError):  # block 2 is outside [0, 2)
+        SparkEngine(spark, EDGES, PART, 2)
 
 
 class _WavefrontProgram(VertexProgram):
@@ -152,8 +191,7 @@ def test_spark_engine_many_rounds_regression(spark):
 
     n = 35
     path_edges = [(i, i + 1) for i in range(n)]
-    eng = SparkEngine(spark, edges_to_spark(spark, path_edges),
-                      hash_partition(path_edges, 2), 2)
+    eng = SparkEngine(spark, path_edges, hash_partition(path_edges, 2), 2)
     t0 = time.perf_counter()
     values, stats = eng.run(_WavefrontProgram(), mode="vertex")
     elapsed = time.perf_counter() - t0
@@ -161,3 +199,22 @@ def test_spark_engine_many_rounds_regression(spark):
     assert stats.rounds >= n - 1
     # Pre-fix, round ~25 alone took minutes; the whole run must not.
     assert elapsed < 120, f"superstep loop degraded: {elapsed:.0f}s"
+
+
+#: Fixpoints of different lengths on one graph: HIndexProgram("in"/"out")
+#: and the wavefront from vertex 0 down a 10-edge tail.
+STAGGERED = EDGES + [(0, 100)] + [(i, i + 1) for i in range(100, 110)]
+
+
+@pytest.mark.parametrize("mode", ["vertex", "block"])
+@pytest.mark.parametrize("engine", ["local", "spark"])
+def test_run_many_matches_sequential_runs(spark, engine, mode):
+    """One superstep stream for independent programs gives each program
+    its solo values and stats, cut at its own first quiet round."""
+    part = hash_partition(STAGGERED, 3)
+    programs = [HIndexProgram("in"), HIndexProgram("out"), _WavefrontProgram()]
+    local = LocalEngine(STAGGERED, part)
+    solo = [local.run(p, mode=mode) for p in programs]
+    assert len({len(s.msgs_per_round) for _, s in solo}) == len(programs)
+    eng = local if engine == "local" else SparkEngine(spark, STAGGERED, part, 3)
+    assert eng.run_many(programs, mode=mode) == solo
