@@ -5,7 +5,7 @@ Package map:
 
 * :mod:`repro.framework` — the distributed graph-processing substrate
   (H-index kernel, vertex-/block-centric block runtime, the local
-  reference engine and the Spark cogrouped-shuffle engine, graph
+  reference engine and the Spark grouped-shuffle engine, graph
   partitioners).
 * :mod:`repro.core` — the paper's contribution: anchored-coreness
   (Algorithms 1-4), the D-index (Definition 5.3 / Algorithm 6),

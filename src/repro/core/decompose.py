@@ -112,7 +112,7 @@ def decompose(
 ) -> DecomposeResult:
     """Run a full distributed D-core decomposition.
 
-    ``engine="spark"`` runs the cogrouped-shuffle dataflow (requires
+    ``engine="spark"`` runs one grouped shuffle per superstep (requires
     ``spark``); ``engine="local"`` runs the in-process reference engine
     with identical semantics (fast path for tests/CI).
     """

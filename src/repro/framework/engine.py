@@ -2,31 +2,30 @@
 
 The distributed dataflow per superstep is::
 
-    state.groupBy("block").cogroup(messages.groupBy("block"))
-         .applyInPandas(round_fn, SCHEMA)
+    data.groupBy("block").applyInPandas(round_fn, SCHEMA)
 
-i.e. block state and the messages addressed to each block are co-shuffled
-to the same task, which runs the shared
-:func:`repro.framework.block_runtime.run_block_round` and emits both the
-new state rows and the outgoing message rows (tagged by ``kind``). Each
-round's output is written to parquet and read back (Pregel-style
-superstep persistence); the round's stats ride on that write as observed
-metrics, so a superstep is one Spark action. Round 0 runs on the driver,
-which holds the adjacency, as in the local engine.
+where ``data`` holds each block's state rows and the message rows
+addressed to it, tagged by ``kind``: one shuffle brings both to the task
+that runs the shared :func:`repro.framework.block_runtime.run_block_round`
+and emits the next round's state and message rows. Each round's output is
+written to parquet and read back (Pregel-style superstep persistence);
+the round's stats ride on that write as one observed SQL aggregate, so a
+superstep is one Spark action. Round 0 runs on the driver, which holds
+the adjacency, as in the local engine; its rows enter Spark as one Arrow
+table, which starts no Python worker.
 
 Independent programs share one superstep stream (``run_many``): program
 ``i`` owns the virtual blocks ``i * n_blocks + block``, so a superstep's
 fixed cost is paid once per barrier, not once per program (as in GRAPE,
-Fan et al., SIGMOD 2017).
+Fan et al., SIGMOD 2017). Once a program is all quiet, its state rows
+pass through the UDF unread.
 
-Why parquet and not ``localCheckpoint``: checkpointing a Dataset keeps
-the logical plan's statistics, and Catalyst's size-only estimator takes
-the *product* of child sizes at multi-child nodes — our cogroup doubles
-the ``sizeInBytes`` BigInt's bit-length every round, so by round ~25
-each checkpoint spends minutes multiplying million-digit integers (and
-the cached round outputs accumulate in executor memory). A file
-round-trip resets stats to actual bytes, truncates lineage, and leaves
-nothing cached.
+Why parquet and not ``localCheckpoint``: a file round-trip truncates
+lineage, resets plan statistics to actual bytes and leaves nothing cached,
+so a late round costs what an early one does. Checkpointed round outputs
+accumulate in executor memory and keep estimated statistics: when a round
+was a two-child cogroup, Catalyst's product of child sizes doubled the
+``sizeInBytes`` bit-length every round and stalled runs by round ~25.
 
 Every row of a superstep's output is ``kind, block, vid, src,
 changed_round, size`` plus one opaque ``data binary`` column: a state row
@@ -46,8 +45,10 @@ from pathlib import Path
 from typing import Any
 
 import pandas as pd
-from pyspark.sql import Column, Observation, SparkSession
+import pyarrow as pa
+from pyspark.sql import Column, DataFrame, Observation, SparkSession
 from pyspark.sql import functions as F
+from pyspark.sql.pandas.types import from_arrow_schema
 
 from repro.framework.block_runtime import (
     Message,
@@ -58,11 +59,11 @@ from repro.framework.block_runtime import (
 )
 from repro.framework.local_engine import Edge, adjacency, init_run
 
-_SCHEMA = (
-    "kind string, block long, vid long, src long, changed_round long, "
-    "size long, data binary"
-)
-_COLS = [c.split()[0] for c in _SCHEMA.split(", ")]
+_ARROW = pa.schema([("kind", pa.string())] + [
+    (c, pa.int64()) for c in ("block", "vid", "src", "changed_round", "size")
+] + [("data", pa.binary())])
+_SCHEMA = from_arrow_schema(_ARROW)
+_COLS = _SCHEMA.names
 
 
 def _rows(
@@ -81,6 +82,12 @@ def _rows(
         for dblock, dvid, svid, payload in msgs
     ]
     return rows
+
+
+def _ingest(spark: SparkSession, rows: list[tuple]) -> DataFrame:
+    """Driver-built rows as a DataFrame, shipped as one Arrow table."""
+    cols = [pa.array([row[j] for row in rows], f.type) for j, f in enumerate(_ARROW)]
+    return spark.createDataFrame(pa.Table.from_arrays(cols, schema=_ARROW))
 
 
 class SparkEngine:
@@ -155,10 +162,7 @@ class SparkEngine:
             stats.append(s)
             recs = (r for b in blocks.values() for r in b.values())
             rows += _rows(recs, pending, program, i * nb)
-        # From tuples, not pandas: converting binary columns to Arrow on
-        # the driver would cost it ~2 MB of resident memory.
-        state, msgs = (self.spark.createDataFrame(
-            [x for x in rows if x[0] == k], _SCHEMA) for k in "sm")
+        data = _ingest(self.spark, rows)
 
         live = set(range(len(programs)))
         for r in range(1, max_rounds + 1):
@@ -166,20 +170,15 @@ class SparkEngine:
             obs = Observation()
             path = str(workdir / f"round_{r % 2}")  # rotate two slots
             (
-                state.groupBy("block").cogroup(msgs.groupBy("block"))
-                .applyInPandas(self._round_fn(programs, mode, r), _SCHEMA)
-                .observe(obs, *self._round_stats(len(programs), r))
+                data.groupBy("block")
+                .applyInPandas(self._round_fn(programs, mode, r, live), _SCHEMA)
+                .observe(obs, self._round_stats(live, r))
                 .write.mode("overwrite").parquet(path)
             )
-            # Superstep barrier: reading the round back resets lineage and
-            # plan statistics (see module docstring). The sides must be
-            # separate relations: when the cogroup's output is observed,
-            # Spark (4.1) prunes a self-cogroup's second side to its key.
-            state, msgs = (
-                self.spark.read.schema(_SCHEMA).parquet(path)
-                .where(F.col("kind") == k) for k in "sm"
-            )
-            got = obs.get
+            # Superstep barrier: reading the round back truncates lineage
+            # and resets plan statistics (see module docstring).
+            data = self.spark.read.schema(_SCHEMA).parquet(path)
+            got = obs.get["stats"]
             for i in list(live):
                 n_msgs, n_changed = got[f"m{i}"], got[f"c{i}"]
                 stats[i].msgs_per_round.append(n_msgs)
@@ -194,26 +193,28 @@ class SparkEngine:
 
         sc.setJobDescription(f"{names}/values")
         values: list[dict[int, Any]] = [{} for _ in programs]
-        for row in state.select("block", "vid", "data", "changed_round").collect():
+        for row in data.collect():  # state rows only: no program sent a message
             i = row["block"] // nb
             values[i][row["vid"]] = pickle.loads(row["data"]).value
             stats[i].converge_round[row["vid"]] = row["changed_round"]
         return list(zip(values, stats))
 
-    def _round_fn(self, programs: list[VertexProgram], mode: str, round_no: int):
-        """The cogroup UDF of one superstep; a virtual block's program is
-        ``programs[block // n_blocks]``."""
-        nb = self.n_blocks
+    def _round_fn(self, programs: list[VertexProgram], mode: str, round_no: int,
+                  live: set[int]):
+        """The grouped UDF of one superstep; a virtual block's program is
+        ``programs[block // n_blocks]``. A program not in ``live`` was all
+        quiet, so it stays quiet: its state rows pass through unread."""
+        nb, live = self.n_blocks, frozenset(live)
 
-        # NOTE: the returned function must take exactly two positional
-        # parameters — Spark dispatches on arity and would otherwise pass
-        # the grouping key as a first tuple argument.
-        def round_fn(left: pd.DataFrame, right: pd.DataFrame) -> pd.DataFrame:
-            recs = {r.ctx.vid: r for r in map(pickle.loads, left["data"])}
-            vbid = int(left["block"].iloc[0])
+        def round_fn(group: pd.DataFrame) -> pd.DataFrame:
+            vbid = int(group["block"].iloc[0])
             i, bid = divmod(vbid, nb)
-            incoming = list(zip(right["vid"].tolist(), right["src"].tolist(),
-                                map(pickle.loads, right["data"])))
+            if i not in live:
+                return group
+            state, msgs = (group[group["kind"] == k] for k in "sm")
+            recs = {r.ctx.vid: r for r in map(pickle.loads, state["data"])}
+            incoming = list(zip(msgs["vid"].tolist(), map(int, msgs["src"]),
+                                map(pickle.loads, msgs["data"])))
             _, out_msgs = run_block_round(
                 bid, recs, incoming, programs[i], mode, round_no
             )
@@ -224,16 +225,15 @@ class SparkEngine:
 
         return round_fn
 
-    def _round_stats(self, n_programs: int, round_no: int) -> list[Column]:
-        """Per program ``i``: messages ``m{i}``, their volume ``v{i}`` and
-        the vertices that changed in ``round_no``, ``c{i}``."""
-        nb, cols = self.n_blocks, []
-        for i in range(n_programs):
-            mine = F.col("block").between(i * nb, i * nb + nb - 1)
-            msg = mine & (F.col("kind") == "m")
-            cols += [
-                F.count_if(msg).alias(f"m{i}"),
-                F.sum(F.when(msg, F.col("size"))).alias(f"v{i}"),
-                F.count_if(mine & (F.col("changed_round") == round_no)).alias(f"c{i}"),
+    def _round_stats(self, live: set[int], round_no: int) -> Column:
+        """One observed struct of, per live program ``i``, messages ``m{i}``,
+        their volume ``v{i}`` and vertices changed in ``round_no``, ``c{i}``."""
+        fields = []
+        for i in sorted(live):
+            mine = f"block DIV {self.n_blocks} = {i}"
+            fields += [
+                f"'m{i}', count_if({mine} AND kind = 'm')",
+                f"'v{i}', sum(IF({mine} AND kind = 'm', size, 0))",
+                f"'c{i}', count_if({mine} AND changed_round = {round_no})",
             ]
-        return cols
+        return F.expr(f"named_struct({', '.join(fields)}) AS stats")

@@ -1,16 +1,23 @@
-"""Spark distributed engine tests: the cogrouped-shuffle dataflow must
-be observationally identical to the local reference engine (values,
-iteration counts, message counts), and correct vs the peeling oracle.
+"""Spark distributed engine tests: the one-relation superstep (state and
+message rows grouped by block) must be observationally identical to the
+local reference engine (values, iteration counts, message counts), and
+correct vs the peeling oracle.
 
 Graphs are kept small — every superstep is a real Spark job."""
+import pickle
+from collections import Counter
+from types import SimpleNamespace
+
+import pandas as pd
 import pytest
 
 from repro.baseline.peeling import peel_decompose
 from repro.core.anchored import HIndexProgram, anchored_to_skyline
 from repro.core.decompose import decompose
+from repro.framework import engine as engine_mod
 from repro.framework.block_runtime import VertexProgram
-from repro.framework.engine import SparkEngine
-from repro.framework.local_engine import LocalEngine
+from repro.framework.engine import _COLS, _SCHEMA, SparkEngine, _ingest, _rows
+from repro.framework.local_engine import LocalEngine, init_run
 from repro.framework.partition import hash_partition, metis_lite_partition
 from repro.graphs.datasets import paper_figure2
 from repro.graphs.generators import edges_to_spark, er_digraph
@@ -146,6 +153,59 @@ def test_spark_engine_labels_jobs_and_restores_description(spark, spark_engine):
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)
         sc.setJobDescription(None)
+
+
+def test_spark_engine_job_budget_on_paper_figure2(spark):
+    """A superstep costs at most one shuffle-map job and one write job,
+    and the final values one collect."""
+    edges = paper_figure2()
+    eng = SparkEngine(spark, edges, hash_partition(edges, 8), 8)
+    sc = spark.sparkContext
+    sc.setJobGroup("budget", "budget")
+    try:
+        results = eng.run_many([HIndexProgram("in"), HIndexProgram("out")], "block")
+        store = sc._jsc.sc().statusStore()
+        jobs = Counter(store.job(j).description().get()
+                       for j in sc.statusTracker().getJobIdsForGroup("budget"))
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        sc.setJobDescription(None)
+    name = "HIndexProgram+HIndexProgram"
+    steps = range(1, max(len(s.msgs_per_round) for _, s in results))
+    assert set(jobs) == {f"{name}/r{r}" for r in steps} | {f"{name}/values"}
+    assert all(jobs[f"{name}/r{r}"] <= 2 for r in steps), jobs
+    assert jobs[f"{name}/values"] == 1
+
+
+def test_round0_ingest_has_engine_schema(spark):
+    """Driver-built rows, including the null ``src``/``size`` of state
+    rows and ``changed_round`` of message rows, keep the engine schema;
+    an empty graph ships zero rows."""
+    rows = [("s", 0, 1, None, 0, None, b"state"), ("m", 1, 2, 1, None, 3, b"msg")]
+    df = _ingest(spark, rows)
+    ddl = ("kind string, block long, vid long, src long, changed_round long, "
+           "size long, data binary")
+    assert df.schema == _SCHEMA == spark.createDataFrame([], ddl).schema
+    assert [tuple(r) for r in df.collect()] == rows
+    empty = _ingest(spark, [])
+    assert empty.schema == _SCHEMA
+    assert empty.count() == 0
+
+
+def test_round_fn_passes_quiet_program_through(spark_engine, monkeypatch):
+    """A program that is no longer live gets its group back unchanged,
+    without one of its rows being unpickled; a live one is computed."""
+    programs = [HIndexProgram("in"), HIndexProgram("out")]
+    blocks, _, _ = init_run(spark_engine, programs[1], "block", None)
+    group = pd.DataFrame(_rows(blocks[0].values(), [], programs[1], 3), columns=_COLS)
+    loads = []
+    monkeypatch.setattr(engine_mod, "pickle", SimpleNamespace(
+        dumps=pickle.dumps, loads=lambda b: loads.append(b) or pickle.loads(b)))
+    quiet = spark_engine._round_fn(programs, "block", 5, {0})(group)
+    assert quiet is group
+    assert loads == []
+    spark_engine._round_fn(programs, "block", 5, {0, 1})(group)
+    assert len(loads) == len(group)
 
 
 @pytest.mark.parametrize("algo", ["AC", "SC"])
