@@ -4,7 +4,7 @@ analog dataset.
 Iteration counts (the table's payload) are engine-invariant, so the full
 dataset x variant grid runs on the fast reference engine; the distributed
 Spark dataflow itself is benchmarked on the WV analog for all four
-variants (each superstep is a real cogrouped shuffle job).
+variants (each superstep is a real grouped shuffle job).
 
 Each benchmark stores its round counts in ``extra_info`` next to the
 paper's numbers so ``bench_output.txt`` documents the comparison.
@@ -54,7 +54,7 @@ def test_bench_table4_rounds(benchmark, name, algo, mode):
 @pytest.mark.parametrize("algo,mode", VARIANTS, ids=[f"{a}-{m[0].upper()}" for a, m in VARIANTS])
 def test_bench_table4_spark_wv(benchmark, spark, algo, mode):
     """The distributed dataflow itself (WV analog): every superstep is a
-    cogrouped applyInPandas shuffle."""
+    grouped applyInPandas shuffle."""
     edges_df = edges_to_spark(spark, list(load("WV"))).localCheckpoint(eager=True)
 
     def run():

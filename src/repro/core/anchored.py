@@ -38,6 +38,8 @@ class HIndexProgram(VertexProgram):
     4.1/4.2 with k=0).
     """
 
+    idempotent = True  # min(value, h) of a fixed cache
+
     def __init__(self, direction: str):
         if direction not in ("in", "out"):
             raise ValueError(direction)
@@ -76,6 +78,7 @@ class LUppProgram(VertexProgram):
     """
 
     consumes = "out"
+    idempotent = True  # per level, min(value[k], h_k) of a fixed cache
 
     def init_value(self, ctx: VertexCtx) -> list[int]:
         kmax = ctx.attrs["kmax"]
@@ -118,6 +121,9 @@ class RefineProgram(VertexProgram):
     re-running the update). A neighbor counts at level k only if it is in
     G[k] (``k_max >= k``) — a vertex outside the (k,0)-core can never
     support membership in a (k,l)-core.
+
+    Not ``idempotent``: a decremented level may fail its constraint
+    again on the same cache, so a changed vertex re-checks itself.
     """
 
     consumes = "both"

@@ -15,7 +15,6 @@ from typing import Any
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.core.anchored import anchored_to_skyline, run_anchored
 from repro.core.skyline import run_skyline, skyline_to_anchored
@@ -93,10 +92,12 @@ def _edges_as_list(edges: DataFrame | list[Edge]) -> list[Edge]:
     if isinstance(edges, DataFrame):
         # Raw pairs: the engines and partitioners apply the one input rule
         # (every endpoint is a vertex; self-loops and duplicates dropped).
-        pdf = edges.select(
-            F.col(edges.columns[0]).cast("long").alias("src"),
-            F.col(edges.columns[1]).cast("long").alias("dst"),
-        ).toPandas()
+        # One schema fetch and one projection keep the py4j round trips
+        # few; Arrow's toPandas builds no Row per edge.
+        pdf = edges.selectExpr(*(
+            f"CAST(`{c.replace('`', '``')}` AS BIGINT) AS {a}"
+            for c, a in zip(edges.columns[:2], ("src", "dst"))
+        )).toPandas()
         return list(zip(pdf["src"].tolist(), pdf["dst"].tolist()))
     return list(edges)
 

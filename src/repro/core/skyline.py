@@ -27,6 +27,7 @@ class SkylineProgram(VertexProgram):
     """
 
     consumes = "both"
+    idempotent = True  # the D-index of the cache, whatever the value
 
     def init_value(self, ctx: VertexCtx) -> list[Pair]:
         k0, l0 = ctx.attrs["init_pair"]

@@ -62,6 +62,11 @@ class VertexProgram(ABC):
 
     consumes: str = "both"  # "in" | "out" | "both"
 
+    #: True when ``update(ctx, update(ctx, v, c), c) == update(ctx, v, c)``
+    #: for every value and cache: a vertex that just changed is then up to
+    #: date, and the runtime skips its self re-check.
+    idempotent: bool = False
+
     @abstractmethod
     def init_value(self, ctx: VertexCtx) -> Any:
         """Round-0 value (an upper bound of the fixpoint)."""
@@ -178,7 +183,9 @@ def run_block_round(
     receiving all messages" first update of Algorithms 2-5); later rounds
     are message-driven, plus vertices that changed in the previous round
     (a vertex whose own decrement may re-trigger its own constraint must
-    re-check itself — e.g. Algorithm 4's one-per-round decrements).
+    re-check itself — e.g. Algorithm 4's one-per-round decrements). An
+    ``idempotent`` program skips that re-check: its changed vertex already
+    equals ``update`` of its cache.
 
     A message, or in block mode a same-block delivery to a consumer that
     is not already queued, activates its receiver only if
@@ -203,6 +210,7 @@ def run_block_round(
 
     changed: set[int] = set()
     outgoing: list[Message] = []
+    recheck = not program.idempotent
 
     if mode == "vertex":
         for vid in active:
@@ -211,7 +219,7 @@ def run_block_round(
             if new != rec.value:
                 rec.value = new
                 rec.changed_round = round_no
-                rec.self_active = True
+                rec.self_active = recheck
                 changed.add(vid)
         for vid in changed:
             rec = recs[vid]
@@ -247,7 +255,7 @@ def run_block_round(
                 work.append(cid)
                 queued.add(cid)
             crec.cache[vid] = new
-        if vid not in queued:  # self re-check (e.g. stepwise refinement)
+        if recheck and vid not in queued:  # e.g. stepwise refinement
             work.append(vid)
             queued.add(vid)
     for vid in changed:

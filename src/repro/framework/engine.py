@@ -8,11 +8,11 @@ where ``data`` holds each block's state rows and the message rows
 addressed to it, tagged by ``kind``: one shuffle brings both to the task
 that runs the shared :func:`repro.framework.block_runtime.run_block_round`
 and emits the next round's state and message rows. Each round's output is
-written to parquet and read back (Pregel-style superstep persistence);
-the round's stats ride on that write as one observed SQL aggregate, so a
-superstep is one Spark action. Round 0 runs on the driver, which holds
-the adjacency, as in the local engine; its rows enter Spark as one Arrow
-table, which starts no Python worker.
+materialised with an eager ``localCheckpoint`` (the superstep barrier):
+the lineage is cut every round and the round's stats ride on that action
+as one observed SQL aggregate, so a superstep is one Spark action. Round 0
+runs on the driver, which holds the adjacency, as in the local engine; its
+rows enter Spark as one Arrow table, which starts no Python worker.
 
 Independent programs share one superstep stream (``run_many``): program
 ``i`` owns the virtual blocks ``i * n_blocks + block``, so a superstep's
@@ -20,28 +20,25 @@ fixed cost is paid once per barrier, not once per program (as in GRAPE,
 Fan et al., SIGMOD 2017). Once a program is all quiet, its state rows
 pass through the UDF unread.
 
-Why parquet and not ``localCheckpoint``: a file round-trip truncates
-lineage, resets plan statistics to actual bytes and leaves nothing cached,
-so a late round costs what an early one does. Checkpointed round outputs
-accumulate in executor memory and keep estimated statistics: when a round
-was a two-child cogroup, Catalyst's product of child sizes doubled the
-``sizeInBytes`` bit-length every round and stalled runs by round ~25.
+Why ``localCheckpoint`` is safe: a round is a one-child plan, so
+Catalyst's size estimate stays constant across rounds (the old two-child
+cogroup multiplied it and stalled runs by round ~25), and each round's
+blocks are released once the next is materialised, so executors hold at
+most two rounds; spill follows ``spark.local.dir``. The trade-off: a lost
+executor fails the run loudly instead of recomputing the round.
 
 Every row of a superstep's output is ``kind, block, vid, src,
 changed_round, size`` plus one opaque ``data binary`` column: a state row
 (``kind = "s"``) carries the pickled :class:`VRec`, a message row
 (``kind = "m"``) the pickled payload. The programs never see the wire
 format, and the engine is generic over their value types. The pickles are
-only ever read back from rows this engine built on the driver or wrote to
-its own ``mkdtemp`` workdir in the same run, never from user input.
+only ever read back from rows this engine built on the driver or from its
+own checkpoint blocks of the same run, never from user input.
 """
 from __future__ import annotations
 
 import pickle
-import shutil
-import tempfile
 from collections.abc import Iterable
-from pathlib import Path
 from typing import Any
 
 import pandas as pd
@@ -88,6 +85,12 @@ def _ingest(spark: SparkSession, rows: list[tuple]) -> DataFrame:
     """Driver-built rows as a DataFrame, shipped as one Arrow table."""
     cols = [pa.array([row[j] for row in rows], f.type) for j, f in enumerate(_ARROW)]
     return spark.createDataFrame(pa.Table.from_arrays(cols, schema=_ARROW))
+
+
+def _release(checkpoint: DataFrame | None) -> None:
+    """Drop a ``localCheckpoint``'s blocks from executor storage."""
+    if checkpoint is not None:
+        checkpoint._jdf.queryExecution().analyzed().rdd().unpersist(False)
 
 
 class SparkEngine:
@@ -139,65 +142,60 @@ class SparkEngine:
         A program's stats stop at its first all-quiet round: it then has
         no messages, no changes and so no self-active vertex, hence every
         later round is quiet for it too."""
-        sc, conf = self.spark.sparkContext, self.spark.conf
-        old_desc = sc.getLocalProperty("spark.job.description")
-        old_shuffle = conf.get("spark.sql.shuffle.partitions")
-        conf.set("spark.sql.shuffle.partitions", str(max(self.n_blocks, 2)))
-        workdir = Path(tempfile.mkdtemp(prefix="dcore_engine_"))
-        try:
-            return self._supersteps(programs, mode,
-                                    attrs_list or [None] * len(programs),
-                                    max_rounds, workdir)
-        finally:
-            shutil.rmtree(workdir, ignore_errors=True)
-            conf.set("spark.sql.shuffle.partitions", old_shuffle)
-            sc.setJobDescription(old_desc)
-
-    def _supersteps(self, programs, mode, attrs_list, max_rounds, workdir):
-        sc, nb = self.spark.sparkContext, self.n_blocks
+        sc, conf, nb = self.spark.sparkContext, self.spark.conf, self.n_blocks
         names = "+".join(type(p).__name__ for p in programs)
         stats, rows = [], []
-        for i, (program, attrs) in enumerate(zip(programs, attrs_list)):
+        for i, (program, attrs) in enumerate(
+            zip(programs, attrs_list or [None] * len(programs))
+        ):
             blocks, pending, s = init_run(self, program, mode, attrs)
             stats.append(s)
             recs = (r for b in blocks.values() for r in b.values())
             rows += _rows(recs, pending, program, i * nb)
-        data = _ingest(self.spark, rows)
+        # Round 0 is a LocalRelation; ``kept`` is the live checkpoint.
+        data, kept = _ingest(self.spark, rows), None
+        old_desc = sc.getLocalProperty("spark.job.description")
+        old_shuffle = conf.get("spark.sql.shuffle.partitions")
+        conf.set("spark.sql.shuffle.partitions", str(max(nb, 2)))
+        try:
+            live = set(range(len(programs)))
+            for r in range(1, max_rounds + 1):
+                sc.setJobDescription(f"{names}/r{r}")
+                obs = Observation()
+                # Superstep barrier: materialise the round, cut its lineage,
+                # then free the round it was computed from.
+                data = (
+                    data.groupBy("block")
+                    .applyInPandas(self._round_fn(programs, mode, r, live), _SCHEMA)
+                    .observe(obs, self._round_stats(live, r))
+                    .localCheckpoint(eager=True)
+                )
+                _release(kept)
+                kept = data
+                got = obs.get["stats"]
+                for i in list(live):
+                    n_msgs, n_changed = got[f"m{i}"], got[f"c{i}"]
+                    stats[i].msgs_per_round.append(n_msgs)
+                    stats[i].changed_per_round.append(n_changed)
+                    stats[i].volume_per_round.append(got[f"v{i}"] or 0)
+                    if n_msgs == 0 and n_changed == 0:
+                        live.discard(i)
+                if not live:
+                    break
+            else:
+                raise RuntimeError(f"no convergence within {max_rounds} rounds")
 
-        live = set(range(len(programs)))
-        for r in range(1, max_rounds + 1):
-            sc.setJobDescription(f"{names}/r{r}")
-            obs = Observation()
-            path = str(workdir / f"round_{r % 2}")  # rotate two slots
-            (
-                data.groupBy("block")
-                .applyInPandas(self._round_fn(programs, mode, r, live), _SCHEMA)
-                .observe(obs, self._round_stats(live, r))
-                .write.mode("overwrite").parquet(path)
-            )
-            # Superstep barrier: reading the round back truncates lineage
-            # and resets plan statistics (see module docstring).
-            data = self.spark.read.schema(_SCHEMA).parquet(path)
-            got = obs.get["stats"]
-            for i in list(live):
-                n_msgs, n_changed = got[f"m{i}"], got[f"c{i}"]
-                stats[i].msgs_per_round.append(n_msgs)
-                stats[i].changed_per_round.append(n_changed)
-                stats[i].volume_per_round.append(got[f"v{i}"] or 0)
-                if n_msgs == 0 and n_changed == 0:
-                    live.discard(i)
-            if not live:
-                break
-        else:
-            raise RuntimeError(f"no convergence within {max_rounds} rounds")
-
-        sc.setJobDescription(f"{names}/values")
-        values: list[dict[int, Any]] = [{} for _ in programs]
-        for row in data.collect():  # state rows only: no program sent a message
-            i = row["block"] // nb
-            values[i][row["vid"]] = pickle.loads(row["data"]).value
-            stats[i].converge_round[row["vid"]] = row["changed_round"]
-        return list(zip(values, stats))
+            sc.setJobDescription(f"{names}/values")
+            values: list[dict[int, Any]] = [{} for _ in programs]
+            for row in data.collect():  # state rows only: no program sent a message
+                i = row["block"] // nb
+                values[i][row["vid"]] = pickle.loads(row["data"]).value
+                stats[i].converge_round[row["vid"]] = row["changed_round"]
+            return list(zip(values, stats))
+        finally:
+            _release(kept)
+            conf.set("spark.sql.shuffle.partitions", old_shuffle)
+            sc.setJobDescription(old_desc)
 
     def _round_fn(self, programs: list[VertexProgram], mode: str, round_no: int,
                   live: set[int]):

@@ -213,16 +213,8 @@ def _draw_drop(data, prog, nbr_kmax, u, old):
     return [data.draw(st.integers(0, x)) for x in old]
 
 
-@pytest.mark.parametrize("prog", [
-    HIndexProgram("in"), HIndexProgram("out"), LUppProgram(), RefineProgram(),
-    SkylineProgram(),
-], ids=lambda p: f"{type(p).__name__}-{p.consumes}")
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_affected_false_means_update_keeps_value(prog, data):
-    """Soundness of the activation filter: for an up-to-date vertex and one
-    neighbor's drop old -> new, ``affected`` is False only if ``update``
-    on the new cache still returns the vertex's value."""
+def _draw_vertex(data, prog):
+    """A vertex's context and a cache of its consumed neighbors' values."""
     nbrs = st.lists(st.integers(1, 6), unique=True, max_size=6).map(tuple)
     ctx_nbrs = {"in_nbrs": data.draw(nbrs), "out_nbrs": data.draw(nbrs)}
     nbr_kmax = {u: data.draw(st.integers(0, 3))
@@ -237,6 +229,29 @@ def test_affected_false_means_update_keeps_value(prog, data):
         u: _draw_entry(data, prog, nbr_kmax, u)
         for u in consumed if data.draw(st.booleans())
     }
+    return ctx, cache
+
+
+PROGRAMS = [
+    HIndexProgram("in"), HIndexProgram("out"), LUppProgram(), RefineProgram(),
+    SkylineProgram(),
+]
+
+
+def _prog_id(p):
+    return f"{type(p).__name__}-{p.consumes}"
+
+
+@pytest.mark.parametrize("prog", PROGRAMS, ids=_prog_id)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_affected_false_means_update_keeps_value(prog, data):
+    """Soundness of the activation filter: for an up-to-date vertex and one
+    neighbor's drop old -> new, ``affected`` is False only if ``update``
+    on the new cache still returns the vertex's value."""
+    ctx, cache = _draw_vertex(data, prog)
+    nbr_kmax, kmax = ctx.attrs["nbr_kmax"], ctx.attrs["kmax"]
+    consumed = prog.consumed_nbrs(ctx)
     # Up to date: iterate update from an arbitrary start to its fixpoint.
     if isinstance(prog, HIndexProgram):
         value = data.draw(SMALL)
@@ -254,30 +269,57 @@ def test_affected_false_means_update_keeps_value(prog, data):
         assert prog.update(ctx, value, {**cache, u: new}) == value
 
 
-def _wake_every_receiver(monkeypatch):
+@pytest.mark.parametrize("prog", [p for p in PROGRAMS if p.idempotent],
+                         ids=_prog_id)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_idempotent_program_update_is_idempotent(prog, data):
+    """A program that declares ``idempotent`` is: updating again on the
+    same cache returns the same value, so a vertex that just changed is
+    up to date and needs no self re-check."""
+    ctx, cache = _draw_vertex(data, prog)
+    if isinstance(prog, HIndexProgram):
+        value = data.draw(SMALL)
+    elif isinstance(prog, SkylineProgram):
+        value = _draw_skyline(data)
+    else:
+        value = _draw_levels(data, ctx.attrs["kmax"] + 1)
+    once = prog.update(ctx, value, cache)
+    assert prog.update(ctx, once, cache) == once
+
+
+def test_refine_program_is_not_idempotent():
+    """Algorithm 4 lowers a level by at most one per update, so a second
+    update on the same cache can lower it again: Phase III keeps the self
+    re-check."""
+    prog = RefineProgram()
+    ctx = VertexCtx(vid=0, in_nbrs=(), out_nbrs=(1,),
+                    attrs={"kmax": 0, "nbr_kmax": {1: 0}})
+    cache = {1: [0]}
+    once = prog.update(ctx, [2], cache)
+    assert once == [1]
+    assert prog.update(ctx, once, cache) == [0]
+    assert not prog.idempotent
+
+
+def _subclass_programs(monkeypatch, **overrides):
     """Make run_anchored/run_skyline build subclasses of their programs
-    that keep VertexProgram's default ``affected`` (always True)."""
+    with ``overrides`` as class attributes."""
     for mod, name in [
         (anchored_mod, "HIndexProgram"), (anchored_mod, "LUppProgram"),
         (anchored_mod, "RefineProgram"), (skyline_mod, "HIndexProgram"),
         (skyline_mod, "SkylineProgram"),
     ]:
         cls = getattr(mod, name)
-        monkeypatch.setattr(
-            mod, name, type(name, (cls,), {"affected": VertexProgram.affected})
-        )
+        monkeypatch.setattr(mod, name, type(name, (cls,), overrides))
 
 
 DRIFT_GRAPHS = {"WV": list(load("WV")), "fig2": paper_figure2()}
 
 
-@pytest.mark.parametrize("gname", sorted(DRIFT_GRAPHS))
-@pytest.mark.parametrize("algo", ["AC", "SC"])
-@pytest.mark.parametrize("mode", ["vertex", "block"])
-@pytest.mark.parametrize("pname", ["hash", "metis"])
-def test_activation_filter_does_not_drift(gname, algo, mode, pname, monkeypatch):
-    """Skipping unaffected receivers changes no value and no per-round
-    stat against waking every receiver of every delivery."""
+def _assert_no_drift(gname, algo, mode, pname, monkeypatch, **overrides):
+    """Values and per-round stats equal those of the programs subclassed
+    with ``overrides``."""
     edges = DRIFT_GRAPHS[gname]
     part = PARTITIONERS[pname](edges, 8)
 
@@ -292,5 +334,26 @@ def test_activation_filter_does_not_drift(gname, algo, mode, pname, monkeypatch)
         }
 
     filtered = run()
-    _wake_every_receiver(monkeypatch)
+    _subclass_programs(monkeypatch, **overrides)
     assert run() == filtered
+
+
+@pytest.mark.parametrize("gname", sorted(DRIFT_GRAPHS))
+@pytest.mark.parametrize("algo", ["AC", "SC"])
+@pytest.mark.parametrize("mode", ["vertex", "block"])
+@pytest.mark.parametrize("pname", ["hash", "metis"])
+def test_activation_filter_does_not_drift(gname, algo, mode, pname, monkeypatch):
+    """Skipping unaffected receivers changes no value and no per-round
+    stat against waking every receiver of every delivery."""
+    _assert_no_drift(gname, algo, mode, pname, monkeypatch,
+                     affected=VertexProgram.affected)
+
+
+@pytest.mark.parametrize("gname", sorted(DRIFT_GRAPHS))
+@pytest.mark.parametrize("algo", ["AC", "SC"])
+@pytest.mark.parametrize("mode", ["vertex", "block"])
+@pytest.mark.parametrize("pname", ["hash", "metis"])
+def test_self_recheck_skip_does_not_drift(gname, algo, mode, pname, monkeypatch):
+    """Skipping an idempotent program's self re-check changes no value
+    and no per-round stat against re-checking every changed vertex."""
+    _assert_no_drift(gname, algo, mode, pname, monkeypatch, idempotent=False)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.baseline.bruteforce import kl_core
 from repro.baseline.peeling import peel_decompose
-from repro.core.decompose import decompose
+from repro.core.decompose import _edges_as_list, decompose
 from repro.graphs.datasets import paper_figure2
 from repro.graphs.generators import er_digraph
 
@@ -26,6 +26,15 @@ def test_validates_inputs():
         decompose(None, EDGES, engine="spark")  # needs a SparkSession
     with pytest.raises(KeyError):
         decompose(None, EDGES, partitioner="nope", engine="local")
+
+
+def test_edge_dataframe_endpoints_are_its_first_two_columns(spark):
+    """Whatever their names and integer type, the first two columns are an
+    edge's source and destination, read as Python ints."""
+    df = spark.createDataFrame([(1, 2, 0.5), (2, 3, 1.0)], "a int, b int, w double")
+    edges = _edges_as_list(df.toDF("from.id", "to`id", "w"))
+    assert edges == [(1, 2), (2, 3)]
+    assert all(type(x) is int for e in edges for x in e)
 
 
 @pytest.mark.parametrize("algo", ["AC", "SC"])

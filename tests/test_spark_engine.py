@@ -26,6 +26,20 @@ EDGES = er_digraph(40, 220, seed=11)
 PART = hash_partition(EDGES, 3)
 
 
+def _persistent(spark) -> set[int]:
+    """Ids of the RDDs persisted in the session (checkpoints included)."""
+    return set(spark.sparkContext._jsc.getPersistentRDDs())
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_rdds(spark):
+    """Every test leaves the session's persisted RDDs as it found them:
+    the engine releases each superstep's checkpoint."""
+    before = _persistent(spark)
+    yield
+    assert _persistent(spark) == before
+
+
 @pytest.fixture(scope="module")
 def spark_engine(spark):
     return SparkEngine(spark, EDGES, PART, 3)
@@ -278,3 +292,32 @@ def test_run_many_matches_sequential_runs(spark, engine, mode):
     assert len({len(s.msgs_per_round) for _, s in solo}) == len(programs)
     eng = local if engine == "local" else SparkEngine(spark, STAGGERED, part, 3)
     assert eng.run_many(programs, mode=mode) == solo
+
+
+def test_failed_run_releases_its_checkpoints(spark, spark_engine):
+    """A run that raises frees the checkpoint it was holding."""
+    before = _persistent(spark)
+    with pytest.raises(RuntimeError, match="no convergence"):
+        spark_engine.run(HIndexProgram("in"), mode="vertex", max_rounds=2)
+    assert _persistent(spark) == before
+
+
+def test_at_most_two_checkpoints_alive(spark, monkeypatch):
+    """Each round's checkpoint is released once the next round is
+    materialised, so a long run holds at most two at a time."""
+    n = 22
+    path_edges = [(i, i + 1) for i in range(n)]
+    eng = SparkEngine(spark, path_edges, hash_partition(path_edges, 2), 2)
+    before, alive = _persistent(spark), []
+    release = engine_mod._release
+
+    def spy(checkpoint):
+        alive.append(len(_persistent(spark) - before))
+        release(checkpoint)
+        alive.append(len(_persistent(spark) - before))
+
+    monkeypatch.setattr(engine_mod, "_release", spy)
+    _, stats = eng.run(_WavefrontProgram(), mode="vertex")
+    assert len(stats.msgs_per_round) - 1 >= 20
+    assert max(alive) == 2
+    assert alive[-1] == 0
