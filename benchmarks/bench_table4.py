@@ -54,7 +54,7 @@ def test_bench_table4_rounds(benchmark, name, algo, mode):
 @pytest.mark.parametrize("algo,mode", VARIANTS, ids=[f"{a}-{m[0].upper()}" for a, m in VARIANTS])
 def test_bench_table4_spark_wv(benchmark, spark, algo, mode):
     """The distributed dataflow itself (WV analog): every superstep is a
-    grouped applyInPandas shuffle."""
+    grouped applyInArrow shuffle."""
     edges_df = edges_to_spark(spark, list(load("WV"))).localCheckpoint(eager=True)
 
     def run():

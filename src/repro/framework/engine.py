@@ -2,7 +2,7 @@
 
 The distributed dataflow per superstep is::
 
-    data.groupBy("block").applyInPandas(round_fn, SCHEMA)
+    data.groupBy("block").applyInArrow(round_fn, SCHEMA)
 
 where ``data`` holds each block's state rows and the message rows
 addressed to it, tagged by ``kind``: one shuffle brings both to the task
@@ -12,7 +12,13 @@ materialised with an eager ``localCheckpoint`` (the superstep barrier):
 the lineage is cut every round and the round's stats ride on that action
 as one observed SQL aggregate, so a superstep is one Spark action. Round 0
 runs on the driver, which holds the adjacency, as in the local engine; its
-rows enter Spark as one Arrow table, which starts no Python worker.
+rows enter Spark as one Arrow table, which starts no Python worker. The
+UDF takes and returns Arrow tables (no pandas), and the driver and the
+workers encode rows with the one :func:`_table`. The UDF also drops the
+worker's cached ``zipimporter`` finders (:func:`_drop_zip_finders`):
+otherwise the ``importlib.invalidate_caches()`` that a reused worker runs
+before every task re-reads each cached archive's directory, which cost
+far more than the round's own work.
 
 Independent programs share one superstep stream (``run_many``): program
 ``i`` owns the virtual blocks ``i * n_blocks + block``, so a superstep's
@@ -38,10 +44,11 @@ own checkpoint blocks of the same run, never from user input.
 from __future__ import annotations
 
 import pickle
+import sys
+import zipimport
 from collections.abc import Iterable
 from typing import Any
 
-import pandas as pd
 import pyarrow as pa
 from pyspark.sql import Column, DataFrame, Observation, SparkSession
 from pyspark.sql import functions as F
@@ -60,7 +67,6 @@ _ARROW = pa.schema([("kind", pa.string())] + [
     (c, pa.int64()) for c in ("block", "vid", "src", "changed_round", "size")
 ] + [("data", pa.binary())])
 _SCHEMA = from_arrow_schema(_ARROW)
-_COLS = _SCHEMA.names
 
 
 def _rows(
@@ -81,16 +87,39 @@ def _rows(
     return rows
 
 
+def _table(rows: list[tuple]) -> pa.Table:
+    """Engine rows as one Arrow table of the engine schema."""
+    cols = [pa.array([row[j] for row in rows], f.type) for j, f in enumerate(_ARROW)]
+    return pa.Table.from_arrays(cols, schema=_ARROW)
+
+
 def _ingest(spark: SparkSession, rows: list[tuple]) -> DataFrame:
     """Driver-built rows as a DataFrame, shipped as one Arrow table."""
-    cols = [pa.array([row[j] for row in rows], f.type) for j, f in enumerate(_ARROW)]
-    return spark.createDataFrame(pa.Table.from_arrays(cols, schema=_ARROW))
+    return spark.createDataFrame(_table(rows))
 
 
 def _release(checkpoint: DataFrame | None) -> None:
-    """Drop a ``localCheckpoint``'s blocks from executor storage."""
+    """Drop a ``localCheckpoint``'s blocks from executor storage.
+
+    Through ``SparkContext.unpersistRDD``: ``RDD.unpersist`` would log a
+    WARN for every locally checkpointed RDD it frees, one per superstep."""
     if checkpoint is not None:
-        checkpoint._jdf.queryExecution().analyzed().rdd().unpersist(False)
+        rdd = checkpoint._jdf.queryExecution().analyzed().rdd()
+        checkpoint.sparkSession.sparkContext._jsc.sc().unpersistRDD(rdd.id(), False)
+
+
+def _drop_zip_finders() -> None:
+    """Forget the cached ``zipimporter`` path finders.
+
+    A reused Python worker calls ``importlib.invalidate_caches()`` before
+    every task, and each cached zipimporter then re-reads its archive's
+    whole directory (tens of ms per task for pyspark.zip and the Spark
+    jars). A dropped finder is rebuilt only if a later import needs it,
+    from zipimport's directory cache, so nothing is re-read."""
+    cache = sys.path_importer_cache
+    for path, finder in list(cache.items()):
+        if isinstance(finder, zipimport.zipimporter):
+            del cache[path]
 
 
 class SparkEngine:
@@ -166,7 +195,7 @@ class SparkEngine:
                 # then free the round it was computed from.
                 data = (
                     data.groupBy("block")
-                    .applyInPandas(self._round_fn(programs, mode, r, live), _SCHEMA)
+                    .applyInArrow(self._round_fn(programs, mode, r, live), _SCHEMA)
                     .observe(obs, self._round_stats(live, r))
                     .localCheckpoint(eager=True)
                 )
@@ -204,22 +233,23 @@ class SparkEngine:
         quiet, so it stays quiet: its state rows pass through unread."""
         nb, live = self.n_blocks, frozenset(live)
 
-        def round_fn(group: pd.DataFrame) -> pd.DataFrame:
-            vbid = int(group["block"].iloc[0])
+        def round_fn(group: pa.Table) -> pa.Table:
+            _drop_zip_finders()
+            vbid = group.column("block")[0].as_py()
             i, bid = divmod(vbid, nb)
             if i not in live:
                 return group
-            state, msgs = (group[group["kind"] == k] for k in "sm")
-            recs = {r.ctx.vid: r for r in map(pickle.loads, state["data"])}
-            incoming = list(zip(msgs["vid"].tolist(), map(int, msgs["src"]),
-                                map(pickle.loads, msgs["data"])))
+            recs, incoming = {}, []
+            cols = (group.column(c).to_pylist() for c in ("kind", "vid", "src", "data"))
+            for kind, vid, src, data in zip(*cols):
+                if kind == "s":
+                    recs[vid] = pickle.loads(data)
+                else:
+                    incoming.append((vid, src, pickle.loads(data)))
             _, out_msgs = run_block_round(
                 bid, recs, incoming, programs[i], mode, round_no
             )
-            return pd.DataFrame(
-                _rows(recs.values(), out_msgs, programs[i], vbid - bid),
-                columns=_COLS,
-            )
+            return _table(_rows(recs.values(), out_msgs, programs[i], vbid - bid))
 
         return round_fn
 

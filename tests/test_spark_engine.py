@@ -5,10 +5,12 @@ correct vs the peeling oracle.
 
 Graphs are kept small — every superstep is a real Spark job."""
 import pickle
+import sys
+import zipfile
+import zipimport
 from collections import Counter
 from types import SimpleNamespace
 
-import pandas as pd
 import pytest
 
 from repro.baseline.peeling import peel_decompose
@@ -16,7 +18,15 @@ from repro.core.anchored import HIndexProgram, anchored_to_skyline
 from repro.core.decompose import decompose
 from repro.framework import engine as engine_mod
 from repro.framework.block_runtime import VertexProgram
-from repro.framework.engine import _COLS, _SCHEMA, SparkEngine, _ingest, _rows
+from repro.framework.engine import (
+    _ARROW,
+    _SCHEMA,
+    SparkEngine,
+    _drop_zip_finders,
+    _ingest,
+    _rows,
+    _table,
+)
 from repro.framework.local_engine import LocalEngine, init_run
 from repro.framework.partition import hash_partition, metis_lite_partition
 from repro.graphs.datasets import paper_figure2
@@ -211,15 +221,42 @@ def test_round_fn_passes_quiet_program_through(spark_engine, monkeypatch):
     without one of its rows being unpickled; a live one is computed."""
     programs = [HIndexProgram("in"), HIndexProgram("out")]
     blocks, _, _ = init_run(spark_engine, programs[1], "block", None)
-    group = pd.DataFrame(_rows(blocks[0].values(), [], programs[1], 3), columns=_COLS)
+    group = _table(_rows(blocks[0].values(), [], programs[1], 3))
     loads = []
     monkeypatch.setattr(engine_mod, "pickle", SimpleNamespace(
         dumps=pickle.dumps, loads=lambda b: loads.append(b) or pickle.loads(b)))
     quiet = spark_engine._round_fn(programs, "block", 5, {0})(group)
     assert quiet is group
     assert loads == []
-    spark_engine._round_fn(programs, "block", 5, {0, 1})(group)
+    live = spark_engine._round_fn(programs, "block", 5, {0, 1})(group)
     assert len(loads) == len(group)
+    assert live.schema == _ARROW
+
+
+def test_drop_zip_finders_forgets_zipimporters(tmp_path, monkeypatch):
+    """Dropping the cached zipimporters leaves none in the path importer
+    cache, and a later import from the same archive still works."""
+    archive = tmp_path / "mods.zip"
+    with zipfile.ZipFile(archive, "w") as zf:
+        zf.writestr("zipmod_a.py", "A = 1\n")
+        zf.writestr("zipmod_b.py", "B = 2\n")
+    monkeypatch.syspath_prepend(str(archive))
+    try:
+        import zipmod_a
+
+        assert zipmod_a.A == 1
+        assert isinstance(sys.path_importer_cache[str(archive)],
+                          zipimport.zipimporter)
+        _drop_zip_finders()
+        assert not any(isinstance(f, zipimport.zipimporter)
+                       for f in sys.path_importer_cache.values())
+        import zipmod_b
+
+        assert zipmod_b.B == 2
+    finally:
+        for name in ("zipmod_a", "zipmod_b"):
+            sys.modules.pop(name, None)
+        sys.path_importer_cache.pop(str(archive), None)
 
 
 @pytest.mark.parametrize("algo", ["AC", "SC"])
