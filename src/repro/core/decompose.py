@@ -10,7 +10,7 @@ produce (Figure 1(b)).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import pandas as pd
@@ -42,7 +42,6 @@ class DecomposeResult:
     wall_seconds: float = 0.0
     partitioner: str = "hash"
     n_blocks: int = 1
-    extras: dict[str, Any] = field(default_factory=dict)
 
     @property
     def rounds(self) -> dict[str, int]:

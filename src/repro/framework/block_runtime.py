@@ -2,8 +2,9 @@
 
 Both the pure-Python reference engine (:mod:`repro.framework.local_engine`)
 and the Spark distributed engine (:mod:`repro.framework.engine`) execute
-rounds through the functions in this module, so their semantics agree by
-construction:
+rounds through the functions in this module, and drive them with the one
+superstep loop :func:`run_rounds`, so their semantics and per-round stats
+agree by construction:
 
 * ``mode="vertex"``: each active vertex performs exactly one update per
   round, and every value change is broadcast to the consumers as messages
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -305,17 +307,22 @@ class RunStats:
         n_ok = sum(1 for r in self.converge_round.values() if r <= upto_round)
         return n_ok / len(self.converge_round)
 
-    def merged_with(self, other: "RunStats") -> "RunStats":
-        """Concatenate two phases into one stat stream (Algorithm 1's
-        phase chaining); per-vertex convergence rounds are offset by this
-        run's round count."""
-        offset = len(self.msgs_per_round)
-        merged = RunStats(
-            msgs_per_round=self.msgs_per_round + other.msgs_per_round,
-            changed_per_round=self.changed_per_round + other.changed_per_round,
-            volume_per_round=self.volume_per_round + other.volume_per_round,
-            converge_round=dict(self.converge_round),
-        )
-        for v, r in other.converge_round.items():
-            merged.converge_round[v] = r + offset if r > 0 else merged.converge_round.get(v, 0)
-        return merged
+
+def run_rounds(step: Callable[[int, set[int]], dict[int, tuple[int, int, int]]],
+               stats: list[RunStats], max_rounds: int) -> None:
+    """The superstep loop of both engines, for programs ``0..len(stats)-1``:
+    ``step(r, live)`` runs round ``r`` and returns, per live program, its
+    ``(messages, changed vertices, volume)``. A program leaves ``live`` at
+    its first all-quiet round: with no messages, no changes and so no
+    self-active vertex, every later round is quiet for it too."""
+    live = set(range(len(stats)))
+    for r in range(1, max_rounds + 1):
+        for i, (n_msgs, n_changed, volume) in step(r, live).items():
+            stats[i].msgs_per_round.append(n_msgs)
+            stats[i].changed_per_round.append(n_changed)
+            stats[i].volume_per_round.append(volume)
+            if n_msgs == 0 and n_changed == 0:
+                live.discard(i)
+        if not live:
+            return
+    raise RuntimeError(f"no convergence within {max_rounds} rounds")

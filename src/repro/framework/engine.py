@@ -24,7 +24,10 @@ Independent programs share one superstep stream (``run_many``): program
 ``i`` owns the virtual blocks ``i * n_blocks + block``, so a superstep's
 fixed cost is paid once per barrier, not once per program (as in GRAPE,
 Fan et al., SIGMOD 2017). Once a program is all quiet, its state rows
-pass through the UDF unread.
+pass through the UDF unread. The round loop is the shared
+:func:`repro.framework.block_runtime.run_rounds`; this module supplies the
+superstep. It writes no session config: adaptive query execution (on by
+default) coalesces the round's ``spark.sql.shuffle.partitions`` partitions.
 
 Why ``localCheckpoint`` is safe: a round is a one-child plan, so
 Catalyst's size estimate stays constant across rounds (the old two-child
@@ -60,6 +63,7 @@ from repro.framework.block_runtime import (
     VertexProgram,
     VRec,
     run_block_round,
+    run_rounds,
 )
 from repro.framework.local_engine import Edge, adjacency, init_run
 
@@ -136,11 +140,11 @@ class SparkEngine:
         spark: SparkSession,
         edges: list[Edge],
         partition: dict[int, int],
-        n_blocks: int | None = None,
+        n_blocks: int,
     ):
         self.spark = spark
         self.partition = dict(partition)
-        self.n_blocks = n_blocks or (max(partition.values()) + 1 if partition else 1)
+        self.n_blocks = n_blocks
         self.in_nbrs, self.out_nbrs = adjacency(edges)
         self.vertices = sorted(self.in_nbrs)
         missing = [v for v in self.vertices if v not in self.partition]
@@ -166,12 +170,9 @@ class SparkEngine:
         max_rounds: int = 100_000,
     ) -> list[tuple[dict[int, Any], RunStats]]:
         """Run independent programs in one superstep stream: one
-        ``(values, stats)`` per program, as :meth:`run` gives for it alone.
-
-        A program's stats stop at its first all-quiet round: it then has
-        no messages, no changes and so no self-active vertex, hence every
-        later round is quiet for it too."""
-        sc, conf, nb = self.spark.sparkContext, self.spark.conf, self.n_blocks
+        ``(values, stats)`` per program, as :meth:`run` gives for it alone
+        (each program's stats stop at its own first all-quiet round)."""
+        sc, nb = self.spark.sparkContext, self.n_blocks
         names = "+".join(type(p).__name__ for p in programs)
         stats, rows = [], []
         for i, (program, attrs) in enumerate(
@@ -184,36 +185,26 @@ class SparkEngine:
         # Round 0 is a LocalRelation; ``kept`` is the live checkpoint.
         data, kept = _ingest(self.spark, rows), None
         old_desc = sc.getLocalProperty("spark.job.description")
-        old_shuffle = conf.get("spark.sql.shuffle.partitions")
-        conf.set("spark.sql.shuffle.partitions", str(max(nb, 2)))
-        try:
-            live = set(range(len(programs)))
-            for r in range(1, max_rounds + 1):
-                sc.setJobDescription(f"{names}/r{r}")
-                obs = Observation()
-                # Superstep barrier: materialise the round, cut its lineage,
-                # then free the round it was computed from.
-                data = (
-                    data.groupBy("block")
-                    .applyInArrow(self._round_fn(programs, mode, r, live), _SCHEMA)
-                    .observe(obs, self._round_stats(live, r))
-                    .localCheckpoint(eager=True)
-                )
-                _release(kept)
-                kept = data
-                got = obs.get["stats"]
-                for i in list(live):
-                    n_msgs, n_changed = got[f"m{i}"], got[f"c{i}"]
-                    stats[i].msgs_per_round.append(n_msgs)
-                    stats[i].changed_per_round.append(n_changed)
-                    stats[i].volume_per_round.append(got[f"v{i}"] or 0)
-                    if n_msgs == 0 and n_changed == 0:
-                        live.discard(i)
-                if not live:
-                    break
-            else:
-                raise RuntimeError(f"no convergence within {max_rounds} rounds")
 
+        def step(r: int, live: set[int]) -> dict[int, tuple[int, int, int]]:
+            nonlocal data, kept
+            sc.setJobDescription(f"{names}/r{r}")
+            obs = Observation()
+            # Superstep barrier: materialise the round, cut its lineage,
+            # then free the round it was computed from.
+            data = (
+                data.groupBy("block")
+                .applyInArrow(self._round_fn(programs, mode, r, live), _SCHEMA)
+                .observe(obs, self._round_stats(live, r))
+                .localCheckpoint(eager=True)
+            )
+            _release(kept)
+            kept = data
+            got = obs.get["stats"]
+            return {i: (got[f"m{i}"], got[f"c{i}"], got[f"v{i}"] or 0) for i in live}
+
+        try:
+            run_rounds(step, stats, max_rounds)
             sc.setJobDescription(f"{names}/values")
             values: list[dict[int, Any]] = [{} for _ in programs]
             for row in data.collect():  # state rows only: no program sent a message
@@ -223,7 +214,6 @@ class SparkEngine:
             return list(zip(values, stats))
         finally:
             _release(kept)
-            conf.set("spark.sql.shuffle.partitions", old_shuffle)
             sc.setJobDescription(old_desc)
 
     def _round_fn(self, programs: list[VertexProgram], mode: str, round_no: int,

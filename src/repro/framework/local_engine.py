@@ -18,6 +18,7 @@ from repro.framework.block_runtime import (
     init_block,
     new_rec,
     run_block_round,
+    run_rounds,
 )
 
 Edge = tuple[int, int]
@@ -25,7 +26,7 @@ Edge = tuple[int, int]
 
 def adjacency(edges: list[Edge]) -> tuple[dict[int, tuple], dict[int, tuple]]:
     """(in_nbrs, out_nbrs) maps covering every endpoint, duplicate edges
-    removed (the paper assumes a simple digraph)."""
+    removed (the paper assumes a simple digraph). Ids must fit in int64."""
     seen: set[Edge] = set()
     in_n: dict[int, list[int]] = defaultdict(list)
     out_n: dict[int, list[int]] = defaultdict(list)
@@ -38,6 +39,8 @@ def adjacency(edges: list[Edge]) -> tuple[dict[int, tuple], dict[int, tuple]]:
         seen.add((u, v))
         out_n[u].append(v)
         in_n[v].append(u)
+    if verts and not -(2**63) <= min(verts) <= max(verts) < 2**63:
+        raise ValueError("vertex ids must lie in [-2**63, 2**63)")
     return (
         {v: tuple(in_n.get(v, ())) for v in verts},
         {v: tuple(out_n.get(v, ())) for v in verts},
@@ -105,7 +108,8 @@ class LocalEngine:
     ) -> tuple[dict[int, Any], RunStats]:
         blocks, pending, stats = init_run(self, program, mode, attrs)
 
-        for r in range(1, max_rounds + 1):
+        def step(r: int, live: set[int]) -> dict[int, tuple[int, int, int]]:
+            nonlocal pending
             inbox: dict[int, list[tuple[int, int, Any]]] = defaultdict(list)
             for dblock, dvid, svid, payload in pending:
                 inbox[dblock].append((dvid, svid, payload))
@@ -120,13 +124,9 @@ class LocalEngine:
                 )
                 n_changed += len(changed)
                 pending += out
-            stats.msgs_per_round.append(len(pending))
-            stats.changed_per_round.append(n_changed)
-            stats.volume_per_round.append(_volume(program, pending))
-            if not pending and n_changed == 0:
-                break
-        else:
-            raise RuntimeError(f"no convergence within {max_rounds} rounds")
+            return {0: (len(pending), n_changed, _volume(program, pending))}
+
+        run_rounds(step, [stats], max_rounds)
 
         values: dict[int, Any] = {}
         for recs in blocks.values():

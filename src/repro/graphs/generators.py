@@ -159,6 +159,6 @@ def planted_core_digraph(
 
 
 def edges_to_spark(spark: SparkSession, edges: list[Edge]) -> DataFrame:
-    """Edge list -> Spark DataFrame (src long, dst long)."""
+    """Edge list -> Spark DataFrame (src long, dst long), also when empty."""
     pdf = pd.DataFrame(edges, columns=["src", "dst"]).astype("int64")
-    return spark.createDataFrame(pdf)
+    return spark.createDataFrame(pdf, "src long, dst long")

@@ -24,13 +24,16 @@ def clean_edges(edges: DataFrame) -> DataFrame:
 
 
 def degree_table(edges: DataFrame) -> DataFrame:
-    """Per-vertex (vid, in_deg, out_deg); vertices with zero on one side
-    included."""
+    """Per-vertex (vid, in_deg, out_deg) under the one input rule: every
+    endpoint is a vertex, self-loops and duplicate edges are dropped."""
+    ends = F.array(*(F.col(c).cast("long") for c in edges.columns[:2]))
+    verts = edges.select(F.explode(ends).alias("vid")).distinct()
     e = clean_edges(edges)
     ind = e.groupBy(F.col("dst").alias("vid")).agg(F.count("*").alias("in_deg"))
     outd = e.groupBy(F.col("src").alias("vid")).agg(F.count("*").alias("out_deg"))
     return (
-        ind.join(outd, "vid", "full")
+        verts.join(ind, "vid", "left")
+        .join(outd, "vid", "left")
         .select(
             "vid",
             F.coalesce("in_deg", F.lit(0)).alias("in_deg"),
@@ -41,7 +44,7 @@ def degree_table(edges: DataFrame) -> DataFrame:
 
 def graph_summary(edges: DataFrame) -> dict:
     """|V|, |E|, deg_avg (= |E|/|V|, matching Table 3's convention of
-    counting each edge once), and the three max degrees."""
+    counting each edge once), and the three max degrees; zeros if empty."""
     deg = degree_table(edges)
     row = deg.agg(
         F.count("*").alias("n_vertices"),
@@ -50,9 +53,8 @@ def graph_summary(edges: DataFrame) -> dict:
         F.max("out_deg").alias("max_out_deg"),
         F.max(F.col("in_deg") + F.col("out_deg")).alias("max_deg"),
     ).collect()[0]
-    d = row.asDict()
-    d["n_edges"] = int(d["n_edges"])
-    d["deg_avg"] = d["n_edges"] / d["n_vertices"]
+    d = {k: int(v or 0) for k, v in row.asDict().items()}
+    d["deg_avg"] = d["n_edges"] / d["n_vertices"] if d["n_vertices"] else 0.0
     return d
 
 

@@ -19,6 +19,7 @@ from repro.framework.block_runtime import (
     RunStats,
     VertexCtx,
     VertexProgram,
+    run_rounds,
 )
 from repro.framework.local_engine import LocalEngine, adjacency
 from repro.framework.partition import PARTITIONERS, hash_partition, metis_lite_partition
@@ -132,15 +133,45 @@ def test_runstats_metrics():
     assert rates[-1] == 1.0
 
 
-def test_runstats_merge_offsets_rounds():
-    a = RunStats(msgs_per_round=[5, 3], changed_per_round=[0, 2],
-                 converge_round={1: 1, 2: 0})
-    b = RunStats(msgs_per_round=[4, 0], changed_per_round=[0, 1],
-                 converge_round={1: 1, 2: 0})
-    m = a.merged_with(b)
-    assert m.total_messages == 12
-    assert m.converge_round[1] == 3  # offset by len(a.msgs_per_round)
-    assert m.converge_round[2] == 0
+def test_run_rounds_stops_each_program_at_its_first_quiet_round():
+    """The shared superstep loop, driven by a fake engine step: each
+    program's stats end at its own first round with no messages and no
+    changes (a round with changes but no messages is not quiet), and a
+    program that left ``live`` is not stepped again."""
+    script = {
+        0: [(3, 1, 6), (0, 0, 0)],
+        1: [(2, 2, 2), (0, 1, 0), (1, 0, 4), (0, 0, 0)],
+        2: [(0, 0, 0)],
+    }
+    calls = []
+
+    def step(r, live):
+        calls.append((r, set(live)))
+        return {i: script[i][r - 1] for i in live}
+
+    stats = [RunStats(msgs_per_round=[9], changed_per_round=[0],
+                      volume_per_round=[9]) for _ in script]
+    run_rounds(step, stats, max_rounds=10)
+    assert calls == [(1, {0, 1, 2}), (2, {0, 1}), (3, {1}), (4, {1})]
+    for s, rounds in zip(stats, script.values()):
+        assert s.msgs_per_round == [9] + [m for m, _, _ in rounds]
+        assert s.changed_per_round == [0] + [c for _, c, _ in rounds]
+        assert s.volume_per_round == [9] + [v for _, _, v in rounds]
+
+
+def test_run_rounds_raises_after_max_rounds():
+    calls = []
+
+    def step(r, live):
+        calls.append(r)
+        return {i: (i, i, i) for i in live}  # program 1 never goes quiet
+
+    stats = [RunStats(), RunStats()]
+    with pytest.raises(RuntimeError, match="no convergence within 3 rounds"):
+        run_rounds(step, stats, max_rounds=3)
+    assert calls == [1, 2, 3]
+    assert stats[0].msgs_per_round == [0]
+    assert stats[1].msgs_per_round == [1, 1, 1]
 
 
 def test_non_monotone_program_guard():

@@ -12,6 +12,7 @@ from collections import Counter
 from types import SimpleNamespace
 
 import pytest
+from pyspark.sql.conf import RuntimeConfig
 
 from repro.baseline.peeling import peel_decompose
 from repro.core.anchored import HIndexProgram, anchored_to_skyline
@@ -149,10 +150,45 @@ def test_degenerate_edges_every_endpoint_is_a_vertex(spark, as_df):
     assert res.total_messages == local.total_messages
 
 
-def test_spark_engine_restores_shuffle_partitions(spark, spark_engine):
-    before = spark.conf.get("spark.sql.shuffle.partitions")
-    spark_engine.run(HIndexProgram("in"), mode="vertex")
-    assert spark.conf.get("spark.sql.shuffle.partitions") == before
+@pytest.mark.parametrize("engine", ["local", "spark", "peeling"])
+def test_ids_outside_int64_rejected(spark, engine):
+    """One rule for ids: they must fit the signed 64-bit vid column.
+    Every engine and peeling reject an id outside it and accept its ends."""
+    run = {
+        "local": lambda e: decompose(None, e, engine="local", n_blocks=2).anchored,
+        "spark": lambda e: decompose(spark, e, engine="spark", n_blocks=2).anchored,
+        "peeling": lambda e: peel_decompose(e)[0],
+    }[engine]
+    for bad in (2**63 + 5, 2**63, -(2**63) - 1):
+        with pytest.raises(ValueError, match="vertex ids"):
+            run([(bad, 1), (1, bad)])
+    ends = [(2**63 - 1, -(2**63)), (-(2**63), 2**63 - 1), (-(2**63), 0)]
+    assert run(ends) == {2**63 - 1: [1, 1], -(2**63): [1, 1], 0: [0, 0]}
+
+
+def test_spark_engine_writes_no_session_conf(spark, spark_engine, monkeypatch):
+    """A run neither sets nor unsets a session conf (adaptive execution
+    coalesces each round's shuffle), so the conf afterwards is as before."""
+    writes = []
+    for name in ("set", "unset"):
+        orig = getattr(RuntimeConfig, name)
+
+        def spy(conf, *args, _orig=orig, _name=name):
+            writes.append((_name, args))
+            return _orig(conf, *args)
+
+        monkeypatch.setattr(RuntimeConfig, name, spy)
+    before = spark.conf.getAll
+    spark_engine.run_many([HIndexProgram("in"), HIndexProgram("out")], "block")
+    assert writes == []
+    assert spark.conf.getAll == before
+
+
+@pytest.mark.parametrize("engine", ["local", "spark"])
+def test_max_rounds_fails_loudly(spark_engine, engine):
+    eng = LocalEngine(EDGES, PART) if engine == "local" else spark_engine
+    with pytest.raises(RuntimeError, match="no convergence within 1 rounds"):
+        eng.run(HIndexProgram("in"), mode="vertex", max_rounds=1)
 
 
 def test_spark_engine_labels_jobs_and_restores_description(spark, spark_engine):

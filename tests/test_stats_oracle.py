@@ -20,6 +20,9 @@ EDGE_SETS = {
     "chung_lu": chung_lu_digraph(150, 1_000, seed=1),
     "figure2": paper_figure2(),
     "with_dups": [(1, 2), (1, 2), (2, 3), (3, 3), (3, 1), (2, 1)],
+    # Degenerate inputs: 3's only edge is a self-loop; no edges at all.
+    "self_loop_only": [(1, 2), (2, 1), (3, 3)],
+    "empty": [],
 }
 
 
@@ -37,7 +40,7 @@ def test_degree_table_vs_duckdb(spark, name):
         WITH e AS (
             SELECT DISTINCT src, dst FROM edges WHERE src <> dst
         ), verts AS (
-            SELECT src AS vid FROM e UNION SELECT dst FROM e
+            SELECT src AS vid FROM edges UNION SELECT dst FROM edges
         )
         SELECT v.vid,
                (SELECT count(*) FROM e WHERE e.dst = v.vid) AS in_deg,
@@ -60,28 +63,35 @@ def test_clean_edges_vs_duckdb(spark, name):
 
 
 def test_graph_summary_vs_duckdb(spark):
-    edges = EDGE_SETS["chung_lu"]
-    s = graph_summary(edges_to_spark(spark, edges))
+    """Every edge endpoint is a vertex, as in ``decompose()``; a graph
+    with no vertices has all-zero statistics."""
     import duckdb
 
-    con = duckdb.connect()
-    con.register("edges", _pdf(edges))
-    row = con.execute(
-        """
-        WITH e AS (SELECT DISTINCT src, dst FROM edges WHERE src <> dst),
-        d AS (
-            SELECT vid,
-                   (SELECT count(*) FROM e WHERE dst = vid) AS i,
-                   (SELECT count(*) FROM e WHERE src = vid) AS o
-            FROM (SELECT src AS vid FROM e UNION SELECT dst FROM e)
-        )
-        SELECT count(*), sum(i), max(i), max(o), max(i + o) FROM d
-        """
-    ).fetchone()
-    con.close()
-    assert (s["n_vertices"], s["n_edges"], s["max_in_deg"],
-            s["max_out_deg"], s["max_deg"]) == row
-    assert s["deg_avg"] == pytest.approx(row[1] / row[0])
+    got = {}
+    for name in ("chung_lu", "self_loop_only", "empty"):
+        edges = EDGE_SETS[name]
+        s = got[name] = graph_summary(edges_to_spark(spark, edges))
+        con = duckdb.connect()
+        con.register("edges", _pdf(edges))
+        row = con.execute(
+            """
+            WITH e AS (SELECT DISTINCT src, dst FROM edges WHERE src <> dst),
+            d AS (
+                SELECT vid,
+                       (SELECT count(*) FROM e WHERE dst = vid) AS i,
+                       (SELECT count(*) FROM e WHERE src = vid) AS o
+                FROM (SELECT src AS vid FROM edges UNION SELECT dst FROM edges)
+            )
+            SELECT count(*), coalesce(sum(i), 0), coalesce(max(i), 0),
+                   coalesce(max(o), 0), coalesce(max(i + o), 0) FROM d
+            """
+        ).fetchone()
+        con.close()
+        assert (s["n_vertices"], s["n_edges"], s["max_in_deg"],
+                s["max_out_deg"], s["max_deg"]) == row, name
+        assert s["deg_avg"] == pytest.approx(row[1] / row[0] if row[0] else 0.0)
+    res = decompose(None, EDGE_SETS["self_loop_only"], engine="local")
+    assert got["self_loop_only"]["n_vertices"] == len(res.skyline) == 3
 
 
 def test_gk_induced_subgraph_vs_duckdb(spark):
