@@ -20,6 +20,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from _common import print_table  # noqa: E402
 
 from repro.core.decompose import decompose  # noqa: E402
+from repro.framework.local_engine import adjacency  # noqa: E402
 from repro.framework.partition import (  # noqa: E402
     PARTITIONERS,
     block_sizes,
@@ -32,11 +33,12 @@ def exp6_rows(names, n_blocks: int = 8):
     rows = []
     for name in names:
         edges = list(load(name))
+        graph = adjacency(edges)
         for pname in ("hash", "seg", "fennel", "metis"):
-            part = PARTITIONERS[pname](edges, n_blocks)
+            part = PARTITIONERS[pname](graph, n_blocks)
             sizes = block_sizes(part)
             imbalance = max(sizes) / (sum(sizes) / len(sizes))
-            cut = edge_cut(edges, part)
+            cut = edge_cut(graph, part)
             for algo in ("AC", "SC"):
                 res = decompose(
                     None, edges, algo=algo, mode="block",

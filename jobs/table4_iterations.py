@@ -22,9 +22,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from _common import get_spark, print_table  # noqa: E402
 
 from repro.core.decompose import decompose  # noqa: E402
+from repro.framework.local_engine import adjacency  # noqa: E402
 from repro.graphs.datasets import PAPER_TABLE4, SPECS, load  # noqa: E402
-from repro.graphs.stats import graph_summary  # noqa: E402
-from repro.graphs.generators import edges_to_spark  # noqa: E402
 
 
 def run_all(spark, names, engine: str, n_blocks: int = 8):
@@ -32,14 +31,8 @@ def run_all(spark, names, engine: str, n_blocks: int = 8):
     results, upper = {}, {}
     for name in names:
         edges = list(load(name))
-        if spark is not None:
-            upper[name] = graph_summary(edges_to_spark(spark, edges))["max_deg"]
-        else:
-            from collections import Counter
-
-            ic = Counter(v for _, v in edges)
-            oc = Counter(u for u, _ in edges)
-            upper[name] = max(ic[v] + oc[v] for v in set(ic) | set(oc))
+        g = adjacency(edges)
+        upper[name] = max(len(g.in_nbrs[v]) + len(g.out_nbrs[v]) for v in g.vertices)
         results[name] = {}
         for algo in ("AC", "SC"):
             for mode in ("vertex", "block"):

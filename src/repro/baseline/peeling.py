@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from repro.framework.local_engine import adjacency
+from repro.framework.local_engine import Graph, adjacency
 
 Edge = tuple[int, int]
 
@@ -35,14 +35,13 @@ class PeelingStats:
     messages: int = 0  # graph collection + per-deletion neighbor updates
 
 
-def in_coreness(edges: list[Edge]) -> dict[int, int]:
+def in_coreness(graph: Graph) -> dict[int, int]:
     """``k_max(v)``: the max k with v in a non-empty (k,0)-core.
 
     Bucket-queue peel on in-degrees; removing a vertex decrements the
     in-degree of its out-neighbors. O(n + m).
     """
-    in_n, out_n = adjacency(edges)
-    deg = {v: len(t) for v, t in in_n.items()}
+    deg = {v: len(t) for v, t in graph.in_nbrs.items()}
     maxd = max(deg.values(), default=0)
     buckets: list[list[int]] = [[] for _ in range(maxd + 1)]
     for v, d in deg.items():
@@ -61,7 +60,7 @@ def in_coreness(edges: list[Edge]) -> dict[int, int]:
             k = max(k, d)
             core[v] = k
             removed.add(v)
-            for w in out_n.get(v, ()):  # v's removal lowers w's in-degree
+            for w in graph.out_nbrs[v]:  # v's removal lowers w's in-degree
                 if w not in removed and deg[w] > d:
                     deg[w] -= 1
                     # deg[w] >= d still holds, so the re-bucket target is
@@ -79,10 +78,11 @@ def peel_decompose(
     Returns ``(anchored, stats)`` with ``anchored[v] = [l_max(0,v), ...,
     l_max(k_max(v), v)]`` and the distributed cost-model counters.
     """
-    in_n, out_n = adjacency(edges)
+    graph = adjacency(edges)
+    in_n, out_n = graph.in_nbrs, graph.out_nbrs
     verts = set(in_n)
     m = sum(len(t) for t in out_n.values())
-    kmax = in_coreness(edges)
+    kmax = in_coreness(graph)
     stats = PeelingStats(messages=m)  # coordinator collects the graph
     anchored = {v: [] for v in verts}
     if not verts:

@@ -20,8 +20,9 @@ from repro.core.anchored import anchored_to_skyline, run_anchored
 from repro.core.skyline import run_skyline, skyline_to_anchored
 from repro.framework.block_runtime import RunStats
 from repro.framework.engine import SparkEngine
-from repro.framework.local_engine import LocalEngine
+from repro.framework.local_engine import LocalEngine, adjacency
 from repro.framework.partition import PARTITIONERS
+from repro.graphs.generators import edges_from_spark
 
 # Not called here; kept as a module attribute because perfbench's tracer
 # wraps ``decompose.clean_edges`` by name.
@@ -87,20 +88,6 @@ class DecomposeResult:
         }
 
 
-def _edges_as_list(edges: DataFrame | list[Edge]) -> list[Edge]:
-    if isinstance(edges, DataFrame):
-        # Raw pairs: the engines and partitioners apply the one input rule
-        # (every endpoint is a vertex; self-loops and duplicates dropped).
-        # One schema fetch and one projection keep the py4j round trips
-        # few; Arrow's toPandas builds no Row per edge.
-        pdf = edges.selectExpr(*(
-            f"CAST(`{c.replace('`', '``')}` AS BIGINT) AS {a}"
-            for c, a in zip(edges.columns[:2], ("src", "dst"))
-        )).toPandas()
-        return list(zip(pdf["src"].tolist(), pdf["dst"].tolist()))
-    return list(edges)
-
-
 def decompose(
     spark: SparkSession | None,
     edges: DataFrame | list[Edge],
@@ -118,17 +105,23 @@ def decompose(
     """
     if algo not in ("AC", "SC"):
         raise ValueError(f"algo must be AC or SC, got {algo!r}")
-    edge_list = _edges_as_list(edges)
-    part = PARTITIONERS[partitioner](edge_list, n_blocks)
-    t0 = time.perf_counter()
-    if engine == "spark":
-        if spark is None:
-            raise ValueError("engine='spark' requires a SparkSession")
-        eng: Any = SparkEngine(spark, edge_list, part, n_blocks)
-    elif engine == "local":
-        eng = LocalEngine(edge_list, part)
-    else:
+    if partitioner not in PARTITIONERS:
+        raise ValueError(f"unknown partitioner {partitioner!r}")
+    if not isinstance(n_blocks, int) or n_blocks < 1:
+        raise ValueError(f"n_blocks must be a positive int, got {n_blocks!r}")
+    if engine not in ("spark", "local"):
         raise ValueError(f"unknown engine {engine!r}")
+    if engine == "spark" and spark is None:
+        raise ValueError("engine='spark' requires a SparkSession")
+    graph = adjacency(
+        edges_from_spark(edges) if isinstance(edges, DataFrame) else edges
+    )
+    part = PARTITIONERS[partitioner](graph, n_blocks)
+    t0 = time.perf_counter()
+    eng: Any = (
+        SparkEngine(spark, graph, part, n_blocks) if engine == "spark"
+        else LocalEngine(graph, part)
+    )
 
     if algo == "AC":
         anchored, stats = run_anchored(eng, mode=mode)

@@ -65,7 +65,7 @@ from repro.framework.block_runtime import (
     run_block_round,
     run_rounds,
 )
-from repro.framework.local_engine import Edge, adjacency, init_run
+from repro.framework.local_engine import Graph, check_partition, init_run
 
 _ARROW = pa.schema([("kind", pa.string())] + [
     (c, pa.int64()) for c in ("block", "vid", "src", "changed_round", "size")
@@ -127,7 +127,7 @@ def _drop_zip_finders() -> None:
 
 
 class SparkEngine:
-    """Distributed engine over an edge list ``[(src, dst), ...]``.
+    """Distributed engine over a :class:`~repro.framework.local_engine.Graph`.
 
     ``partition`` maps vid -> block in ``[0, n_blocks)`` (a plain dict;
     one int per vertex is driver-sized even for large graphs, exactly like
@@ -138,20 +138,16 @@ class SparkEngine:
     def __init__(
         self,
         spark: SparkSession,
-        edges: list[Edge],
+        graph: Graph,
         partition: dict[int, int],
         n_blocks: int,
     ):
+        check_partition(graph, partition, n_blocks)
         self.spark = spark
         self.partition = dict(partition)
         self.n_blocks = n_blocks
-        self.in_nbrs, self.out_nbrs = adjacency(edges)
-        self.vertices = sorted(self.in_nbrs)
-        missing = [v for v in self.vertices if v not in self.partition]
-        if missing:
-            raise ValueError(f"partition misses vertices, e.g. {missing[:3]}")
-        if any(not 0 <= b < self.n_blocks for b in self.partition.values()):
-            raise ValueError(f"partition blocks must lie in [0, {self.n_blocks})")
+        self.vertices, self.in_nbrs, self.out_nbrs = (
+            graph.vertices, graph.in_nbrs, graph.out_nbrs)
 
     def run(
         self,

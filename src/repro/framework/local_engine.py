@@ -8,6 +8,7 @@ cross-validate the distributed engine.
 from __future__ import annotations
 
 from collections import defaultdict
+from dataclasses import dataclass
 from typing import Any
 
 from repro.framework.block_runtime import (
@@ -24,9 +25,19 @@ from repro.framework.block_runtime import (
 Edge = tuple[int, int]
 
 
-def adjacency(edges: list[Edge]) -> tuple[dict[int, tuple], dict[int, tuple]]:
-    """(in_nbrs, out_nbrs) maps covering every endpoint, duplicate edges
-    removed (the paper assumes a simple digraph). Ids must fit in int64."""
+@dataclass(frozen=True)
+class Graph:
+    """A simple digraph, as :func:`adjacency` builds it from an edge list."""
+
+    vertices: tuple[int, ...]  # sorted
+    in_nbrs: dict[int, tuple[int, ...]]
+    out_nbrs: dict[int, tuple[int, ...]]
+
+
+def adjacency(edges: list[Edge]) -> Graph:
+    """The graph of an edge list under the one input rule (DESIGN.md §3):
+    every endpoint is a vertex; self-loops and duplicate edges are dropped
+    (the paper assumes a simple digraph). Ids must fit in int64."""
     seen: set[Edge] = set()
     in_n: dict[int, list[int]] = defaultdict(list)
     out_n: dict[int, list[int]] = defaultdict(list)
@@ -41,10 +52,23 @@ def adjacency(edges: list[Edge]) -> tuple[dict[int, tuple], dict[int, tuple]]:
         in_n[v].append(u)
     if verts and not -(2**63) <= min(verts) <= max(verts) < 2**63:
         raise ValueError("vertex ids must lie in [-2**63, 2**63)")
-    return (
+    return Graph(
+        tuple(sorted(verts)),
         {v: tuple(in_n.get(v, ())) for v in verts},
         {v: tuple(out_n.get(v, ())) for v in verts},
     )
+
+
+def check_partition(
+    graph: Graph, partition: dict[int, int], n_blocks: int | None = None
+) -> None:
+    """Raise ``ValueError`` unless ``partition`` maps every vertex of
+    ``graph`` to a block (one in ``[0, n_blocks)`` if ``n_blocks`` is given)."""
+    missing = [v for v in graph.vertices if v not in partition]
+    if missing:
+        raise ValueError(f"partition misses vertices, e.g. {missing[:3]}")
+    if n_blocks is not None and any(not 0 <= b < n_blocks for b in partition.values()):
+        raise ValueError(f"partition blocks must lie in [0, {n_blocks})")
 
 
 def init_run(
@@ -73,18 +97,16 @@ def _volume(program: VertexProgram, msgs: list[Message]) -> int:
 
 
 class LocalEngine:
-    """Reference engine over an in-memory edge list.
+    """Reference engine over a :class:`Graph`.
 
     ``partition`` maps vid -> block id; defaults to a single block.
     """
 
-    def __init__(self, edges: list[Edge], partition: dict[int, int] | None = None):
-        self.in_nbrs, self.out_nbrs = adjacency(edges)
-        self.vertices = sorted(self.in_nbrs)
+    def __init__(self, graph: Graph, partition: dict[int, int] | None = None):
+        self.vertices, self.in_nbrs, self.out_nbrs = (
+            graph.vertices, graph.in_nbrs, graph.out_nbrs)
         self.partition = partition or {v: 0 for v in self.vertices}
-        missing = [v for v in self.vertices if v not in self.partition]
-        if missing:
-            raise ValueError(f"partition misses vertices, e.g. {missing[:3]}")
+        check_partition(graph, self.partition)
 
     def run_many(
         self,

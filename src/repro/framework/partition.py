@@ -1,58 +1,40 @@
 """Graph partitioners (Exp-6's four strategies).
 
-All partitioners return a routing table ``{vid: block}`` covering every
-endpoint of the edge list. HASH and SEG mirror GRAPE's built-ins; FENNEL
-and METIS are re-implemented at laptop scale (METIS itself is unavailable
-offline — METIS-lite is a BFS-contiguous locality partitioner preserving
-the property Exp-6 exercises: high locality / fewer cross-block messages,
-worse balance than HASH; see DESIGN.md §4).
+All partitioners take a :class:`~repro.framework.local_engine.Graph`
+and return a routing table ``{vid: block}`` covering its vertices. HASH
+and SEG mirror GRAPE's built-ins; FENNEL and METIS are re-implemented at
+laptop scale (METIS itself is unavailable offline — METIS-lite is a
+DFS-contiguous locality partitioner preserving the property Exp-6
+exercises: high locality / fewer cross-block messages, worse balance than
+HASH; see DESIGN.md §4). FENNEL and METIS see the graph undirected: the
+neighbours of ``v`` are ``set(in_nbrs[v]) | set(out_nbrs[v])``.
 """
 from __future__ import annotations
 
 import math
-from collections import defaultdict, deque
+from collections import defaultdict
 
-Edge = tuple[int, int]
-
-
-def _vertices(edges: list[Edge]) -> list[int]:
-    vs: set[int] = set()
-    for u, v in edges:
-        vs.add(u)
-        vs.add(v)
-    return sorted(vs)
+from repro.framework.local_engine import Graph
 
 
-def _undirected_adj(edges: list[Edge]) -> dict[int, set[int]]:
-    adj: dict[int, set[int]] = defaultdict(set)
-    for u, v in edges:
-        if u != v:
-            adj[u].add(v)
-            adj[v].add(u)
-    for v in _vertices(edges):
-        adj.setdefault(v, set())
-    return adj
-
-
-def hash_partition(edges: list[Edge], n_blocks: int) -> dict[int, int]:
+def hash_partition(graph: Graph, n_blocks: int) -> dict[int, int]:
     """GRAPE HASH: block = vid % N (balanced, locality-blind)."""
-    return {v: v % n_blocks for v in _vertices(edges)}
+    return {v: v % n_blocks for v in graph.vertices}
 
 
-def seg_partition(edges: list[Edge], n_blocks: int) -> dict[int, int]:
+def seg_partition(graph: Graph, n_blocks: int) -> dict[int, int]:
     """GRAPE SEG: contiguous id ranges, block = rank // ceil(n/N)."""
-    vs = _vertices(edges)
-    c = math.ceil(len(vs) / n_blocks) or 1
-    return {v: i // c for i, v in enumerate(vs)}
+    c = math.ceil(len(graph.vertices) / n_blocks) or 1
+    return {v: i // c for i, v in enumerate(graph.vertices)}
 
 
 def fennel_partition(
-    edges: list[Edge], n_blocks: int, gamma: float = 1.5
+    graph: Graph, n_blocks: int, gamma: float = 1.5
 ) -> dict[int, int]:
     """FENNEL-lite: stream vertices in id order, placing each in the block
     maximising |N(v) ∩ block| − α·γ/2·|block|^(γ−1) (Tsourakakis et al.)."""
-    adj = _undirected_adj(edges)
-    vs = _vertices(edges)
+    vs = graph.vertices
+    adj = {v: set(graph.in_nbrs[v]) | set(graph.out_nbrs[v]) for v in vs}
     n, m = len(vs), sum(len(a) for a in adj.values()) // 2
     alpha = (m * n_blocks ** (gamma - 1)) / max(n, 1) ** gamma if n else 0.0
     sizes = [0] * n_blocks
@@ -69,17 +51,15 @@ def fennel_partition(
     return part
 
 
-def metis_lite_partition(edges: list[Edge], n_blocks: int) -> dict[int, int]:
+def metis_lite_partition(graph: Graph, n_blocks: int) -> dict[int, int]:
     """METIS-lite: DFS ordering over the undirected graph (restarting per
     component), chopped into contiguous chunks. DFS keeps tight
     communities contiguous in the ordering (BFS interleaves them with
     their ring/bridge neighbors), giving METIS-style high-locality
     blocks."""
-    adj = _undirected_adj(edges)
-    vs = _vertices(edges)
     order: list[int] = []
     seen: set[int] = set()
-    for start in vs:
+    for start in graph.vertices:
         if start in seen:
             continue
         stack = [start]
@@ -89,7 +69,8 @@ def metis_lite_partition(edges: list[Edge], n_blocks: int) -> dict[int, int]:
                 continue
             seen.add(v)
             order.append(v)
-            for u in sorted(adj[v], reverse=True):
+            nbrs = set(graph.in_nbrs[v]) | set(graph.out_nbrs[v])
+            for u in sorted(nbrs, reverse=True):
                 if u not in seen:
                     stack.append(u)
     c = math.ceil(len(order) / n_blocks) or 1
@@ -104,12 +85,10 @@ PARTITIONERS = {
 }
 
 
-def edge_cut(edges: list[Edge], part: dict[int, int]) -> float:
-    """Fraction of edges whose endpoints land in different blocks."""
-    if not edges:
-        return 0.0
-    crossing = sum(1 for u, v in edges if part[u] != part[v])
-    return crossing / len(edges)
+def edge_cut(graph: Graph, part: dict[int, int]) -> float:
+    """Fraction of the graph's edges whose endpoints land in different blocks."""
+    cut = [part[u] != part[v] for u, vs in graph.out_nbrs.items() for v in vs]
+    return sum(cut) / len(cut) if cut else 0.0
 
 
 def block_sizes(part: dict[int, int]) -> list[int]:

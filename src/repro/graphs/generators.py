@@ -162,3 +162,20 @@ def edges_to_spark(spark: SparkSession, edges: list[Edge]) -> DataFrame:
     """Edge list -> Spark DataFrame (src long, dst long), also when empty."""
     pdf = pd.DataFrame(edges, columns=["src", "dst"]).astype("int64")
     return spark.createDataFrame(pdf, "src long, dst long")
+
+
+def src_dst(edges: DataFrame) -> DataFrame:
+    """An edge DataFrame's first two columns, whatever their names (read
+    literally, dots too) and integer type, as (src long, dst long). One
+    schema fetch and one ``selectExpr`` keep the py4j round trips few."""
+    return edges.selectExpr(*(
+        f"CAST(`{c.replace('`', '``')}` AS BIGINT) AS {a}"
+        for c, a in zip(edges.columns[:2], ("src", "dst"))
+    ))
+
+
+def edges_from_spark(edges: DataFrame) -> list[Edge]:
+    """The raw pairs of :func:`src_dst` as Python ints, collected through
+    Arrow (no Row per edge): the inverse of :func:`edges_to_spark`."""
+    pdf = src_dst(edges).toPandas()
+    return list(zip(pdf["src"].tolist(), pdf["dst"].tolist()))

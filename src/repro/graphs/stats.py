@@ -9,25 +9,22 @@ from __future__ import annotations
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
+from repro.core.anchored import HIndexProgram
+from repro.framework.local_engine import LocalEngine, adjacency
+from repro.graphs.generators import edges_from_spark, src_dst
+
 
 def clean_edges(edges: DataFrame) -> DataFrame:
     """Normalise to a simple digraph: (src, dst) longs, no self-loops or
     duplicate edges."""
-    return (
-        edges.select(
-            F.col(edges.columns[0]).cast("long").alias("src"),
-            F.col(edges.columns[1]).cast("long").alias("dst"),
-        )
-        .where("src <> dst")
-        .dropDuplicates(["src", "dst"])
-    )
+    return src_dst(edges).where("src <> dst").dropDuplicates(["src", "dst"])
 
 
 def degree_table(edges: DataFrame) -> DataFrame:
     """Per-vertex (vid, in_deg, out_deg) under the one input rule: every
     endpoint is a vertex, self-loops and duplicate edges are dropped."""
-    ends = F.array(*(F.col(c).cast("long") for c in edges.columns[:2]))
-    verts = edges.select(F.explode(ends).alias("vid")).distinct()
+    ends = F.array("src", "dst")
+    verts = src_dst(edges).select(F.explode(ends).alias("vid")).distinct()
     e = clean_edges(edges)
     ind = e.groupBy(F.col("dst").alias("vid")).agg(F.count("*").alias("in_deg"))
     outd = e.groupBy(F.col("src").alias("vid")).agg(F.count("*").alias("out_deg"))
@@ -61,11 +58,7 @@ def graph_summary(edges: DataFrame) -> dict:
 def core_limits(spark: SparkSession, edges: DataFrame, mode: str = "block") -> dict:
     """Graph-level ``k_max``/``l_max`` (Table 3's last two columns): the
     maxima of the per-vertex Phase-I in-/out-H-index fixpoints."""
-    from repro.core.anchored import HIndexProgram
-    from repro.framework.local_engine import LocalEngine
-
-    pdf = clean_edges(edges).toPandas()
-    eng = LocalEngine(list(zip(pdf["src"].tolist(), pdf["dst"].tolist())))
+    eng = LocalEngine(adjacency(edges_from_spark(edges)))
     init = [HIndexProgram("in"), HIndexProgram("out")]
     (kmax, _), (lmax, _) = eng.run_many(init, mode=mode)
     return {

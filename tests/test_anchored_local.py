@@ -16,7 +16,7 @@ from repro.core.anchored import (
 )
 from repro.core.dindex import skyline
 from repro.framework.block_runtime import UNKNOWN, VertexCtx
-from repro.framework.local_engine import LocalEngine
+from repro.framework.local_engine import LocalEngine, adjacency
 from repro.framework.partition import PARTITIONERS
 from repro.graphs.generators import (
     chung_lu_digraph,
@@ -51,8 +51,9 @@ def oracles():
 @pytest.mark.parametrize("n_blocks", [1, 5])
 def test_anchored_matches_peeling(gname, mode, pname, n_blocks, oracles):
     edges = GRAPHS[gname]
-    part = PARTITIONERS[pname](edges, n_blocks)
-    eng = LocalEngine(edges, part)
+    g = adjacency(edges)
+    part = PARTITIONERS[pname](g, n_blocks)
+    eng = LocalEngine(g, part)
     anchored, stats = run_anchored(eng, mode=mode)
     assert anchored == oracles[gname]
     assert set(stats) == {"phase1", "phase2", "phase3"}
@@ -61,16 +62,16 @@ def test_anchored_matches_peeling(gname, mode, pname, n_blocks, oracles):
 @pytest.mark.parametrize("gname", sorted(GRAPHS))
 def test_phase1_kmax_matches_in_coreness(gname):
     edges = GRAPHS[gname]
-    eng = LocalEngine(edges)
+    eng = LocalEngine(adjacency(edges))
     kmax, _ = eng.run(HIndexProgram("in"), mode="block")
-    assert kmax == in_coreness(edges)
+    assert kmax == in_coreness(adjacency(edges))
 
 
 @pytest.mark.parametrize("gname", ["er_dense", "planted", "chung_lu_skew"])
 def test_phase2_upper_bounds_dominate_lmax(gname, oracles):
     """Theorem 4.2: l_upp(k, v) >= l_max(k, v) for every k."""
     edges = GRAPHS[gname]
-    eng = LocalEngine(edges)
+    eng = LocalEngine(adjacency(edges))
     kmax, _ = eng.run(HIndexProgram("in"), mode="block")
     nbr_kmax = neighbor_attr_map(eng.in_nbrs, eng.out_nbrs, kmax)
     attrs = {v: {"kmax": kmax[v], "nbr_kmax": nbr_kmax[v]} for v in kmax}
@@ -86,7 +87,7 @@ def test_level_payload_size_matches_generic_walk(gname):
     count of the generic walk, which HIndexProgram inherits from
     VertexProgram unchanged, on real Phase II/III values."""
     edges = GRAPHS[gname]
-    eng = LocalEngine(edges)
+    eng = LocalEngine(adjacency(edges))
     kmax, _ = eng.run(HIndexProgram("in"), mode="block")
     nbr_kmax = neighbor_attr_map(eng.in_nbrs, eng.out_nbrs, kmax)
     attrs = {v: {"kmax": kmax[v], "nbr_kmax": nbr_kmax[v]} for v in kmax}
@@ -122,8 +123,9 @@ digraph_st = st.lists(
 @given(edges=digraph_st, mode=st.sampled_from(["vertex", "block"]),
        n_blocks=st.integers(1, 4))
 def test_anchored_random_graphs(edges, mode, n_blocks):
-    part = PARTITIONERS["hash"](edges, n_blocks)
-    eng = LocalEngine(edges, part)
+    g = adjacency(edges)
+    part = PARTITIONERS["hash"](g, n_blocks)
+    eng = LocalEngine(g, part)
     anchored, _ = run_anchored(eng, mode=mode)
     assert anchored == peel_decompose(edges)[0]
 

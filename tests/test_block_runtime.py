@@ -27,22 +27,23 @@ from repro.graphs.datasets import load, paper_figure2
 from repro.graphs.generators import chung_lu_digraph, er_digraph
 
 EDGES = er_digraph(80, 500, seed=2)
+GRAPH = adjacency(EDGES)
 
 
 def test_adjacency_dedupes_and_covers():
-    in_n, out_n = adjacency([(1, 2), (1, 2), (2, 3), (3, 3), (2, 1)])
-    assert in_n[2] == (1,) and out_n[1] == (2,)
-    assert in_n[3] == (2,) and out_n[3] == ()  # self-loop dropped
-    assert set(in_n) == {1, 2, 3}
+    g = adjacency([(1, 2), (1, 2), (2, 3), (3, 3), (2, 1)])
+    assert g.in_nbrs[2] == (1,) and g.out_nbrs[1] == (2,)
+    assert g.in_nbrs[3] == (2,) and g.out_nbrs[3] == ()  # self-loop dropped
+    assert g.vertices == (1, 2, 3)
 
 
 def test_partition_must_cover_vertices():
     with pytest.raises(ValueError):
-        LocalEngine([(1, 2)], {1: 0})
+        LocalEngine(adjacency([(1, 2)]), {1: 0})
 
 
 def test_unknown_mode_rejected():
-    eng = LocalEngine(EDGES)
+    eng = LocalEngine(GRAPH)
     with pytest.raises(ValueError):
         eng.run(HIndexProgram("in"), mode="banana")
 
@@ -58,7 +59,7 @@ def test_vertex_and_block_modes_same_fixpoint():
         vals = []
         for mode in ("vertex", "block"):
             for nb in (1, 3, 7):
-                eng = LocalEngine(EDGES, hash_partition(EDGES, nb))
+                eng = LocalEngine(GRAPH, hash_partition(GRAPH, nb))
                 v, _ = eng.run(prog, mode=mode)
                 vals.append(v)
         assert all(v == vals[0] for v in vals)
@@ -67,27 +68,27 @@ def test_vertex_and_block_modes_same_fixpoint():
 def test_block_mode_fewer_or_equal_messages():
     """Block mode counts only cross-block traffic, so it can never send
     more messages than vertex mode on the same partition."""
-    part = hash_partition(EDGES, 4)
-    eng = LocalEngine(EDGES, part)
+    part = hash_partition(GRAPH, 4)
+    eng = LocalEngine(GRAPH, part)
     _, s_v = eng.run(HIndexProgram("in"), mode="vertex")
     _, s_b = eng.run(HIndexProgram("in"), mode="block")
     assert s_b.total_messages <= s_v.total_messages
 
 
 def test_single_block_block_mode_sends_nothing():
-    eng = LocalEngine(EDGES)  # one block
+    eng = LocalEngine(GRAPH)  # one block
     vals, stats = eng.run(HIndexProgram("in"), mode="block")
     assert stats.total_messages == 0
     assert stats.rounds <= 1  # everything converges inside round 1
-    eng2 = LocalEngine(EDGES)
+    eng2 = LocalEngine(GRAPH)
     vals2, _ = eng2.run(HIndexProgram("in"), mode="vertex")
     assert vals == vals2
 
 
 def test_block_mode_rounds_never_exceed_vertex_mode():
     for nb in (2, 4, 8):
-        part = hash_partition(EDGES, nb)
-        eng = LocalEngine(EDGES, part)
+        part = hash_partition(GRAPH, nb)
+        eng = LocalEngine(GRAPH, part)
         _, s_v = eng.run(HIndexProgram("in"), mode="vertex")
         _, s_b = eng.run(HIndexProgram("in"), mode="block")
         assert s_b.rounds <= s_v.rounds
@@ -97,8 +98,9 @@ def test_locality_partition_cuts_messages():
     """A locality partitioner must reduce cross-block traffic vs HASH in
     block mode (Exp-6's communication result)."""
     edges = chung_lu_digraph(200, 1_500, seed=5)
-    eng_h = LocalEngine(edges, hash_partition(edges, 8))
-    eng_m = LocalEngine(edges, metis_lite_partition(edges, 8))
+    g = adjacency(edges)
+    eng_h = LocalEngine(g, hash_partition(g, 8))
+    eng_m = LocalEngine(g, metis_lite_partition(g, 8))
     _, s_h = eng_h.run(HIndexProgram("in"), mode="block")
     _, s_m = eng_m.run(HIndexProgram("in"), mode="block")
     assert s_m.total_messages < s_h.total_messages
@@ -115,14 +117,14 @@ def test_monotone_iterates_non_increasing():
             history.setdefault(ctx.vid, []).append(new)
             return new
 
-    eng = LocalEngine(EDGES)
+    eng = LocalEngine(GRAPH)
     eng.run(Recording("in"), mode="vertex")
     for vals in history.values():
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
 def test_runstats_metrics():
-    eng = LocalEngine(EDGES, hash_partition(EDGES, 4))
+    eng = LocalEngine(GRAPH, hash_partition(GRAPH, 4))
     _, stats = eng.run(HIndexProgram("in"), mode="vertex")
     assert stats.rounds >= 1
     assert stats.total_messages == sum(stats.msgs_per_round)
@@ -187,7 +189,7 @@ def test_non_monotone_program_guard():
         def update(self, ctx, value, cache):
             return 1 - value
 
-    eng = LocalEngine([(1, 2), (2, 1)])
+    eng = LocalEngine(adjacency([(1, 2), (2, 1)]))
     with pytest.raises(RuntimeError):
         eng.run(Oscillator(), mode="block", max_rounds=50)
 
@@ -202,7 +204,7 @@ def test_vertex_mode_oscillator_hits_round_cap():
         def update(self, ctx, value, cache):
             return 1 - value
 
-    eng = LocalEngine([(1, 2), (2, 1)])
+    eng = LocalEngine(adjacency([(1, 2), (2, 1)]))
     with pytest.raises(RuntimeError):
         eng.run(Oscillator(), mode="vertex", max_rounds=50)
 
@@ -351,12 +353,12 @@ DRIFT_GRAPHS = {"WV": list(load("WV")), "fig2": paper_figure2()}
 def _assert_no_drift(gname, algo, mode, pname, monkeypatch, **overrides):
     """Values and per-round stats equal those of the programs subclassed
     with ``overrides``."""
-    edges = DRIFT_GRAPHS[gname]
-    part = PARTITIONERS[pname](edges, 8)
+    g = adjacency(DRIFT_GRAPHS[gname])
+    part = PARTITIONERS[pname](g, 8)
 
     def run():
         values, stats = (run_anchored if algo == "AC" else run_skyline)(
-            LocalEngine(edges, part), mode=mode
+            LocalEngine(g, part), mode=mode
         )
         return values, {
             phase: (s.msgs_per_round, s.changed_per_round,

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from repro.core.anchored import HIndexProgram
-from repro.framework.local_engine import LocalEngine
+from repro.framework.local_engine import LocalEngine, adjacency
 from repro.graphs.datasets import PAPER_TABLE3, PAPER_TABLE4, SPECS, load
 
 
@@ -14,7 +14,7 @@ def limits():
     """Measured (kmax, lmax) per analog."""
     out = {}
     for name in SPECS:
-        eng = LocalEngine(list(load(name)))
+        eng = LocalEngine(adjacency(list(load(name))))
         kmax, _ = eng.run(HIndexProgram("in"), mode="block")
         lmax, _ = eng.run(HIndexProgram("out"), mode="block")
         out[name] = (max(kmax.values()), max(lmax.values()))

@@ -4,9 +4,12 @@ import pytest
 
 from repro.baseline.bruteforce import kl_core
 from repro.baseline.peeling import peel_decompose
-from repro.core.decompose import _edges_as_list, decompose
+import repro.baseline.peeling as peeling
+import repro.core.decompose as decompose_mod
+from repro.core.decompose import decompose
+from repro.framework import local_engine
 from repro.graphs.datasets import paper_figure2
-from repro.graphs.generators import er_digraph
+from repro.graphs.generators import edges_from_spark, er_digraph
 
 EDGES = er_digraph(70, 420, seed=21)
 
@@ -24,15 +27,59 @@ def test_validates_inputs():
         decompose(None, EDGES, engine="warp")
     with pytest.raises(ValueError):
         decompose(None, EDGES, engine="spark")  # needs a SparkSession
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError):
         decompose(None, EDGES, partitioner="nope", engine="local")
+
+
+@pytest.mark.parametrize("engine", ["local", "spark"])
+@pytest.mark.parametrize("bad", [
+    {"n_blocks": 0}, {"n_blocks": -2}, {"n_blocks": 2.5},
+    {"partitioner": "nope"}, {"partitioner": "fennel", "n_blocks": -2},
+])
+def test_rejects_bad_partitioning_before_any_work(spark, monkeypatch, engine, bad):
+    """A bad partitioner or block count is a ValueError, raised before
+    the graph is built (as for ``algo`` and ``engine``)."""
+    def no_work(edges):
+        raise AssertionError("built the graph before validating")
+
+    monkeypatch.setattr(decompose_mod, "adjacency", no_work)
+    with pytest.raises(ValueError):
+        decompose(spark, EDGES, engine=engine, **bad)
+
+
+def _count_graph_builds(monkeypatch, *modules) -> list[int]:
+    """Route every ``adjacency`` of ``modules`` through one counter."""
+    calls = [0]
+
+    def counted(edges, _build=local_engine.adjacency):
+        calls[0] += 1
+        return _build(edges)
+
+    for mod in (local_engine, *modules):
+        monkeypatch.setattr(mod, "adjacency", counted)
+    return calls
+
+
+@pytest.mark.parametrize("engine", ["local", "spark"])
+def test_decompose_builds_the_graph_once(spark, monkeypatch, engine):
+    """The partitioner and the engine share the one graph of the call."""
+    calls = _count_graph_builds(monkeypatch, decompose_mod)
+    res = decompose(spark, EDGES, algo="SC", n_blocks=4, engine=engine)
+    assert calls == [1]
+    assert res.anchored == peel_decompose(EDGES)[0]
+
+
+def test_peel_decompose_builds_the_graph_once(monkeypatch):
+    calls = _count_graph_builds(monkeypatch, peeling)
+    peeling.peel_decompose(EDGES)
+    assert calls == [1]
 
 
 def test_edge_dataframe_endpoints_are_its_first_two_columns(spark):
     """Whatever their names and integer type, the first two columns are an
     edge's source and destination, read as Python ints."""
     df = spark.createDataFrame([(1, 2, 0.5), (2, 3, 1.0)], "a int, b int, w double")
-    edges = _edges_as_list(df.toDF("from.id", "to`id", "w"))
+    edges = edges_from_spark(df.toDF("from.id", "to`id", "w"))
     assert edges == [(1, 2), (2, 3)]
     assert all(type(x) is int for e in edges for x in e)
 

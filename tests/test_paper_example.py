@@ -12,11 +12,12 @@ from repro.baseline.bruteforce import anchored_bruteforce, kl_core
 from repro.baseline.peeling import peel_decompose
 from repro.core.anchored import HIndexProgram, run_anchored
 from repro.core.skyline import run_skyline
-from repro.framework.local_engine import LocalEngine
+from repro.framework.local_engine import LocalEngine, adjacency
 from repro.framework.partition import hash_partition
 from repro.graphs.datasets import paper_figure2
 
 EDGES = paper_figure2()
+GRAPH = adjacency(EDGES)
 H1 = {1, 4, 5, 6}
 ALL = set(range(1, 9))
 
@@ -86,7 +87,7 @@ def test_example31_nesting():
 
 
 def test_table1_phase1_kmax():
-    eng = LocalEngine(EDGES)
+    eng = LocalEngine(GRAPH)
     kmax, stats = eng.run(HIndexProgram("in"), mode="vertex")
     assert kmax == KMAX
     # Table 1: iH(1) already equals iH(2) = k_max -> convergence in <= 2
@@ -95,8 +96,8 @@ def test_table1_phase1_kmax():
 
 
 def test_table1_anchored_corenesses():
-    for part in (None, hash_partition(EDGES, 3)):
-        eng = LocalEngine(EDGES, part)
+    for part in (None, hash_partition(GRAPH, 3)):
+        eng = LocalEngine(GRAPH, part)
         for mode in ("vertex", "block"):
             lmax, _ = run_anchored(eng, mode=mode)
             assert lmax == LMAX
@@ -104,14 +105,14 @@ def test_table1_anchored_corenesses():
 
 def test_example43_phi_v1():
     """Example 4.3: Φ(v1) = {(0,2), (1,2), (2,2)}."""
-    eng = LocalEngine(EDGES)
+    eng = LocalEngine(GRAPH)
     lmax, _ = run_anchored(eng)
     assert list(enumerate(lmax[1])) == [(0, 2), (1, 2), (2, 2)]
 
 
 def test_table2_skyline_corenesses():
-    for part in (None, hash_partition(EDGES, 3)):
-        eng = LocalEngine(EDGES, part)
+    for part in (None, hash_partition(GRAPH, 3)):
+        eng = LocalEngine(GRAPH, part)
         for mode in ("vertex", "block"):
             sc, stats = run_skyline(eng, mode=mode)
             assert {v: set(p) for v, p in sc.items()} == {
@@ -121,7 +122,7 @@ def test_table2_skyline_corenesses():
 
 def test_example51_v7_converges_after_one_iteration():
     """Table 2: D(1)(v7) = D(2)(v7) = {(0,2), (1,1)}."""
-    eng = LocalEngine(EDGES)
+    eng = LocalEngine(GRAPH)
     sc, stats = run_skyline(eng, mode="vertex")
     assert set(sc[7]) == {(0, 2), (1, 1)}
     assert stats["dindex"].converge_round.get(7, 0) <= 1

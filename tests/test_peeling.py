@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.baseline.bruteforce import anchored_bruteforce, kl_core
 from repro.baseline.peeling import PeelingStats, in_coreness, peel_decompose
+from repro.framework.local_engine import adjacency
 from repro.graphs.generators import (
     chung_lu_digraph,
     er_digraph,
@@ -32,7 +33,7 @@ def test_peeling_matches_bruteforce(edges):
 @given(digraph_st)
 def test_in_coreness_matches_k0_cores(edges):
     """in_coreness(v) = max k with v in the (k,0)-core."""
-    core = in_coreness(edges)
+    core = in_coreness(adjacency(edges))
     for v, k in core.items():
         assert v in kl_core(edges, k, 0)
         assert v not in kl_core(edges, k + 1, 0)
@@ -92,7 +93,7 @@ def test_peeling_sequentiality_vs_hindex_rounds():
 
     edges = planted_core_digraph(300, 2_000, core_size=50, core_in_deg=10, seed=6)
     _, pstats = peel_decompose(edges)
-    eng = LocalEngine(edges)
+    eng = LocalEngine(adjacency(edges))
     _, stats = run_anchored(eng, mode="vertex")
     ours = sum(s.rounds for s in stats.values())
     assert pstats.rounds > 3 * ours

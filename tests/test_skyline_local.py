@@ -8,7 +8,7 @@ from repro.baseline.peeling import peel_decompose
 from repro.core.anchored import HIndexProgram, anchored_to_skyline, run_anchored
 from repro.core.dindex import dominates_or_equal, skyline
 from repro.core.skyline import SkylineProgram, run_skyline, skyline_to_anchored
-from repro.framework.local_engine import LocalEngine
+from repro.framework.local_engine import LocalEngine, adjacency
 from repro.framework.partition import PARTITIONERS
 from tests.test_anchored_local import GRAPHS
 
@@ -27,8 +27,9 @@ def oracles():
 @pytest.mark.parametrize("n_blocks", [1, 5])
 def test_skyline_matches_oracle(gname, mode, pname, n_blocks, oracles):
     edges = GRAPHS[gname]
-    part = PARTITIONERS[pname](edges, n_blocks)
-    eng = LocalEngine(edges, part)
+    g = adjacency(edges)
+    part = PARTITIONERS[pname](g, n_blocks)
+    eng = LocalEngine(g, part)
     sc, stats = run_skyline(eng, mode=mode)
     assert sc == oracles[gname]
     assert set(stats) == {"init_in", "init_out", "dindex"}
@@ -38,7 +39,7 @@ def test_skyline_matches_oracle(gname, mode, pname, n_blocks, oracles):
 def test_sc_equals_skyline_of_ac(gname):
     """Theorem 5.1 / Section 5.1: the two representations agree."""
     edges = GRAPHS[gname]
-    eng = LocalEngine(edges)
+    eng = LocalEngine(adjacency(edges))
     ac, _ = run_anchored(eng, mode="block")
     sc, _ = run_skyline(eng, mode="block")
     assert sc == anchored_to_skyline(ac)
@@ -50,7 +51,7 @@ def test_property51_neighbor_support(gname, oracles):
     """Property 5.1(I): a skyline coreness (k,l) of v is supported by at
     least k in-neighbors and l out-neighbors whose skyline dominates it."""
     edges = GRAPHS[gname]
-    eng = LocalEngine(edges)
+    eng = LocalEngine(adjacency(edges))
     sc = oracles[gname]
     for v, pairs in sc.items():
         for k, l in pairs:
@@ -77,7 +78,7 @@ def test_skyline_is_canonical(gname, oracles):
 def test_skyline_fewer_entries_than_anchored():
     """Section 5.1's motivation: |SC(v)| <= |Φ(v)|, usually much smaller."""
     edges = GRAPHS["planted"]
-    eng = LocalEngine(edges)
+    eng = LocalEngine(adjacency(edges))
     ac, _ = run_anchored(eng, mode="block")
     sc, _ = run_skyline(eng, mode="block")
     total_ac = sum(len(a) for a in ac.values())
@@ -90,7 +91,7 @@ def test_tight_initialization_dominates_final():
     """Optimization-3's premise (Theorem 5.2): (k_max(v), l_max(v))
     dominates every final skyline pair of v."""
     edges = GRAPHS["chung_lu"]
-    eng = LocalEngine(edges)
+    eng = LocalEngine(adjacency(edges))
     kmax, _ = eng.run(HIndexProgram("in"), mode="block")
     lmax, _ = eng.run(HIndexProgram("out"), mode="block")
     sc, _ = run_skyline(eng, mode="block")
@@ -111,8 +112,9 @@ digraph_st = st.lists(
 @given(edges=digraph_st, mode=st.sampled_from(["vertex", "block"]),
        n_blocks=st.integers(1, 4))
 def test_skyline_random_graphs(edges, mode, n_blocks):
-    part = PARTITIONERS["hash"](edges, n_blocks)
-    eng = LocalEngine(edges, part)
+    g = adjacency(edges)
+    part = PARTITIONERS["hash"](g, n_blocks)
+    eng = LocalEngine(g, part)
     sc, _ = run_skyline(eng, mode=mode)
     assert sc == anchored_to_skyline(peel_decompose(edges)[0])
     # SkylineProgram's 2-per-pair payload size is the count of the generic

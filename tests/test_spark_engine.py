@@ -28,13 +28,14 @@ from repro.framework.engine import (
     _rows,
     _table,
 )
-from repro.framework.local_engine import LocalEngine, init_run
+from repro.framework.local_engine import LocalEngine, adjacency, init_run
 from repro.framework.partition import hash_partition, metis_lite_partition
 from repro.graphs.datasets import paper_figure2
 from repro.graphs.generators import edges_to_spark, er_digraph
 
 EDGES = er_digraph(40, 220, seed=11)
-PART = hash_partition(EDGES, 3)
+GRAPH = adjacency(EDGES)
+PART = hash_partition(GRAPH, 3)
 
 
 def _persistent(spark) -> set[int]:
@@ -53,7 +54,7 @@ def no_leaked_rdds(spark):
 
 @pytest.fixture(scope="module")
 def spark_engine(spark):
-    return SparkEngine(spark, EDGES, PART, 3)
+    return SparkEngine(spark, GRAPH, PART, 3)
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +63,7 @@ def peel():
 
 
 def test_adjacency_matches_local(spark_engine):
-    local = LocalEngine(EDGES, PART)
+    local = LocalEngine(GRAPH, PART)
     assert {v: sorted(t) for v, t in spark_engine.in_nbrs.items()} == {
         v: sorted(t) for v, t in local.in_nbrs.items()
     }
@@ -78,7 +79,7 @@ def test_hindex_program_engine_invariance(spark_engine, mode, direction):
     reference engine — the distributed run is a faithful execution."""
     prog = HIndexProgram(direction)
     sv, ss = spark_engine.run(prog, mode=mode)
-    lv, ls = LocalEngine(EDGES, PART).run(prog, mode=mode)
+    lv, ls = LocalEngine(GRAPH, PART).run(prog, mode=mode)
     assert sv == lv
     assert ss.rounds == ls.rounds
     assert ss.msgs_per_round == ls.msgs_per_round
@@ -186,7 +187,7 @@ def test_spark_engine_writes_no_session_conf(spark, spark_engine, monkeypatch):
 
 @pytest.mark.parametrize("engine", ["local", "spark"])
 def test_max_rounds_fails_loudly(spark_engine, engine):
-    eng = LocalEngine(EDGES, PART) if engine == "local" else spark_engine
+    eng = LocalEngine(GRAPH, PART) if engine == "local" else spark_engine
     with pytest.raises(RuntimeError, match="no convergence within 1 rounds"):
         eng.run(HIndexProgram("in"), mode="vertex", max_rounds=1)
 
@@ -219,7 +220,8 @@ def test_spark_engine_job_budget_on_paper_figure2(spark):
     """A superstep costs at most one shuffle-map job and one write job,
     and the final values one collect."""
     edges = paper_figure2()
-    eng = SparkEngine(spark, edges, hash_partition(edges, 8), 8)
+    g = adjacency(edges)
+    eng = SparkEngine(spark, g, hash_partition(g, 8), 8)
     sc = spark.sparkContext
     sc.setJobGroup("budget", "budget")
     try:
@@ -309,9 +311,9 @@ def test_empty_graph_agrees_across_engines_and_peeling(spark, algo):
 
 def test_spark_engine_rejects_partial_partition(spark):
     with pytest.raises(ValueError):
-        SparkEngine(spark, EDGES, {0: 0}, 1)
+        SparkEngine(spark, GRAPH, {0: 0}, 1)
     with pytest.raises(ValueError):  # block 2 is outside [0, 2)
-        SparkEngine(spark, EDGES, PART, 2)
+        SparkEngine(spark, GRAPH, PART, 2)
 
 
 class _WavefrontProgram(VertexProgram):
@@ -338,7 +340,8 @@ def test_spark_engine_many_rounds_regression(spark):
 
     n = 35
     path_edges = [(i, i + 1) for i in range(n)]
-    eng = SparkEngine(spark, path_edges, hash_partition(path_edges, 2), 2)
+    g = adjacency(path_edges)
+    eng = SparkEngine(spark, g, hash_partition(g, 2), 2)
     t0 = time.perf_counter()
     values, stats = eng.run(_WavefrontProgram(), mode="vertex")
     elapsed = time.perf_counter() - t0
@@ -358,12 +361,13 @@ STAGGERED = EDGES + [(0, 100)] + [(i, i + 1) for i in range(100, 110)]
 def test_run_many_matches_sequential_runs(spark, engine, mode):
     """One superstep stream for independent programs gives each program
     its solo values and stats, cut at its own first quiet round."""
-    part = hash_partition(STAGGERED, 3)
+    g = adjacency(STAGGERED)
+    part = hash_partition(g, 3)
     programs = [HIndexProgram("in"), HIndexProgram("out"), _WavefrontProgram()]
-    local = LocalEngine(STAGGERED, part)
+    local = LocalEngine(g, part)
     solo = [local.run(p, mode=mode) for p in programs]
     assert len({len(s.msgs_per_round) for _, s in solo}) == len(programs)
-    eng = local if engine == "local" else SparkEngine(spark, STAGGERED, part, 3)
+    eng = local if engine == "local" else SparkEngine(spark, g, part, 3)
     assert eng.run_many(programs, mode=mode) == solo
 
 
@@ -380,7 +384,8 @@ def test_at_most_two_checkpoints_alive(spark, monkeypatch):
     materialised, so a long run holds at most two at a time."""
     n = 22
     path_edges = [(i, i + 1) for i in range(n)]
-    eng = SparkEngine(spark, path_edges, hash_partition(path_edges, 2), 2)
+    g = adjacency(path_edges)
+    eng = SparkEngine(spark, g, hash_partition(g, 2), 2)
     before, alive = _persistent(spark), []
     release = engine_mod._release
 

@@ -12,7 +12,7 @@ from repro.graphs.generators import (
     edges_to_spark,
     er_digraph,
 )
-from repro.graphs.stats import clean_edges, degree_table, graph_summary
+from repro.graphs.stats import clean_edges, core_limits, degree_table, graph_summary
 from repro.oracle import assert_equivalent
 
 EDGE_SETS = {
@@ -94,13 +94,25 @@ def test_graph_summary_vs_duckdb(spark):
     assert got["self_loop_only"]["n_vertices"] == len(res.skyline) == 3
 
 
+def test_dotted_column_names_are_read_literally(spark):
+    """An edge DataFrame's endpoints are its first two columns, also when
+    their names hold a dot (read literally, not as a struct field)."""
+    rows = [(1, 2), (2, 1), (3, 3)]
+    dotted = spark.createDataFrame(rows, "`e.src` long, `e.dst` long")
+    plain = spark.createDataFrame(rows, "src long, dst long")
+    assert graph_summary(dotted) == graph_summary(plain)
+    assert core_limits(spark, dotted) == core_limits(spark, plain) == {
+        "kmax": 1, "lmax": 1}
+
+
 def test_gk_induced_subgraph_vs_duckdb(spark):
     """G[k] (Theorem 4.2's induced subgraph) built in Spark from the
     Phase-I k_max values vs DuckDB over the same coreness table."""
     from repro.baseline.peeling import in_coreness
+    from repro.framework.local_engine import adjacency
 
     edges = EDGE_SETS["chung_lu"]
-    kmax = in_coreness(edges)
+    kmax = in_coreness(adjacency(edges))
     k = max(kmax.values()) // 2 or 1
     kdf = spark.createDataFrame(
         pd.DataFrame(kmax.items(), columns=["vid", "kmax"])
