@@ -83,3 +83,12 @@ def spark() -> SparkSession:
     )
     yield s
     s.stop()
+
+
+@pytest.fixture
+def all_spark(monkeypatch):
+    """Every round of a SparkEngine run on Spark: no frontier is small
+    enough for the driver to take over the run's tail."""
+    from repro.framework import engine
+
+    monkeypatch.setattr(engine, "TAIL_FRONTIER", -1)

@@ -3,7 +3,9 @@
 Decomposes a named analog dataset (or an edge parquet/CSV with columns
 src, dst) and writes the anchored and skyline corenesses as parquet,
 plus a JSON stats summary: per-phase rounds, messages and communication
-volume (integer units, Fig. 4(b)), and their totals.
+volume (integer units, Fig. 4(b)), and their totals; per phase, the first
+round that ran on the driver (null when every round ran on Spark), with
+the frontier threshold that moves a Spark run's tail to the driver.
 
 Usage:
   python jobs/run_decomposition.py --dataset WV --algo SC --mode block \
@@ -21,6 +23,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from _common import get_spark  # noqa: E402
 
 from repro.core.decompose import decompose  # noqa: E402
+from repro.framework.engine import TAIL_FRONTIER  # noqa: E402
 from repro.graphs.datasets import SPECS, load  # noqa: E402
 from repro.graphs.generators import edges_to_spark  # noqa: E402
 
@@ -59,6 +62,8 @@ def main() -> None:
         "total_rounds": res.total_rounds,
         "total_messages": res.total_messages,
         "total_volume": res.total_volume,
+        "driver_round": {p: s.driver_round for p, s in res.stats.items()},
+        "tail_frontier": TAIL_FRONTIER,
         "wall_seconds": round(res.wall_seconds, 2),
         "n_vertices": len(res.anchored),
     }

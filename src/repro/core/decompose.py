@@ -105,6 +105,8 @@ def decompose(
     """
     if algo not in ("AC", "SC"):
         raise ValueError(f"algo must be AC or SC, got {algo!r}")
+    if mode not in ("vertex", "block"):
+        raise ValueError(f"unknown mode {mode!r}")
     if partitioner not in PARTITIONERS:
         raise ValueError(f"unknown partitioner {partitioner!r}")
     if not isinstance(n_blocks, int) or n_blocks < 1:

@@ -278,6 +278,10 @@ class RunStats:
     changed_per_round: list[int] = field(default_factory=list)
     volume_per_round: list[int] = field(default_factory=list)  # int units
     converge_round: dict[int, int] = field(default_factory=dict)
+    #: Where the rounds ran, not what they computed: the first round run
+    #: on the driver (1 on LocalEngine, the tail's first round on
+    #: SparkEngine), or None when every round ran on Spark.
+    driver_round: int | None = field(default=None, compare=False)
 
     @property
     def rounds(self) -> int:

@@ -96,6 +96,50 @@ def _volume(program: VertexProgram, msgs: list[Message]) -> int:
     return sum(program.payload_size(m[3]) for m in msgs)
 
 
+def local_round(
+    blocks: dict[int, dict[int, VRec]],
+    pending: list[Message],
+    program: VertexProgram,
+    mode: str,
+    r: int,
+) -> tuple[list[Message], tuple[int, int, int]]:
+    """Round ``r`` of one program in process: route ``pending`` to the
+    blocks they address and run every block that has a message or a
+    self-active vertex (round 1 runs every block). Returns the messages
+    sent and the round's ``(messages, changed vertices, volume)``, as a
+    :func:`run_rounds` step reports them.
+
+    ``pending`` is emptied once routed, so that the round's messages and
+    the next round's are never held at once."""
+    inbox: dict[int, list[tuple[int, int, Any]]] = defaultdict(list)
+    for dblock, dvid, svid, payload in pending:
+        inbox[dblock].append((dvid, svid, payload))
+    pending.clear()
+    n_changed, out = 0, []
+    for bid, recs in blocks.items():
+        if r > 1 and not inbox.get(bid) and not any(
+            rec.self_active for rec in recs.values()
+        ):
+            continue
+        changed, msgs = run_block_round(
+            bid, recs, inbox.get(bid, []), program, mode, r
+        )
+        n_changed += len(changed)
+        out += msgs
+    return out, (len(out), n_changed, _volume(program, out))
+
+
+def block_values(blocks: dict[int, dict[int, VRec]], stats: RunStats) -> dict[int, Any]:
+    """A finished run's values from its blocks; each vertex's last change
+    goes to ``stats.converge_round``."""
+    values: dict[int, Any] = {}
+    for recs in blocks.values():
+        for v, rec in recs.items():
+            values[v] = rec.value
+            stats.converge_round[v] = rec.changed_round
+    return values
+
+
 class LocalEngine:
     """Reference engine over a :class:`Graph`.
 
@@ -132,27 +176,9 @@ class LocalEngine:
 
         def step(r: int, live: set[int]) -> dict[int, tuple[int, int, int]]:
             nonlocal pending
-            inbox: dict[int, list[tuple[int, int, Any]]] = defaultdict(list)
-            for dblock, dvid, svid, payload in pending:
-                inbox[dblock].append((dvid, svid, payload))
-            n_changed, pending = 0, []
-            for bid, recs in blocks.items():
-                if r > 1 and not inbox.get(bid) and not any(
-                    rec.self_active for rec in recs.values()
-                ):
-                    continue
-                changed, out = run_block_round(
-                    bid, recs, inbox.get(bid, []), program, mode, r
-                )
-                n_changed += len(changed)
-                pending += out
-            return {0: (len(pending), n_changed, _volume(program, pending))}
+            pending, counts = local_round(blocks, pending, program, mode, r)
+            return {0: counts}
 
         run_rounds(step, [stats], max_rounds)
-
-        values: dict[int, Any] = {}
-        for recs in blocks.values():
-            for v, rec in recs.items():
-                values[v] = rec.value
-                stats.converge_round[v] = rec.changed_round
-        return values, stats
+        stats.driver_round = 1
+        return block_values(blocks, stats), stats

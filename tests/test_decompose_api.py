@@ -8,6 +8,7 @@ import repro.baseline.peeling as peeling
 import repro.core.decompose as decompose_mod
 from repro.core.decompose import decompose
 from repro.framework import local_engine
+from repro.framework.partition import PARTITIONERS
 from repro.graphs.datasets import paper_figure2
 from repro.graphs.generators import edges_from_spark, er_digraph
 
@@ -45,6 +46,20 @@ def test_rejects_bad_partitioning_before_any_work(spark, monkeypatch, engine, ba
     monkeypatch.setattr(decompose_mod, "adjacency", no_work)
     with pytest.raises(ValueError):
         decompose(spark, EDGES, engine=engine, **bad)
+
+
+@pytest.mark.parametrize("engine", ["local", "spark"])
+def test_rejects_unknown_mode_before_any_work(spark, monkeypatch, engine):
+    """An unknown ``mode`` is a ValueError raised before the graph is built
+    or the partitioner runs."""
+    work, hash_partition = [], PARTITIONERS["hash"]
+    monkeypatch.setattr(decompose_mod, "adjacency", lambda edges: work.append(
+        "graph") or local_engine.adjacency(edges))
+    monkeypatch.setitem(PARTITIONERS, "hash", lambda graph, n: work.append(
+        "partition") or hash_partition(graph, n))
+    with pytest.raises(ValueError, match="unknown mode 'edge'"):
+        decompose(spark, EDGES, mode="edge", engine=engine)
+    assert work == []
 
 
 def _count_graph_builds(monkeypatch, *modules) -> list[int]:

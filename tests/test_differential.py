@@ -62,3 +62,12 @@ def test_spark_engine_matches_local_and_peeling(spark, algo, pname, edges):
     assert dist.anchored == local.anchored == peel_decompose(edges)[0]
     assert dist.skyline == local.skyline
     assert dist.stats == local.stats
+
+
+@pytest.mark.usefixtures("all_spark")
+@pytest.mark.parametrize("algo", ["AC", "SC"])
+@pytest.mark.parametrize("pname", ["hash", "fennel"])
+def test_spark_engine_matches_local_and_peeling_all_spark(spark, algo, pname):
+    """As above, with every round on Spark (the patched threshold holds
+    for every example)."""
+    test_spark_engine_matches_local_and_peeling(spark=spark, algo=algo, pname=pname)

@@ -122,6 +122,13 @@ def test_decompose_engines_agree_on_stats(spark, peel, algo):
         assert ss.converge_round == ls.converge_round, phase
 
 
+@pytest.mark.usefixtures("all_spark")
+@pytest.mark.parametrize("algo", ["AC", "SC"])
+def test_decompose_engines_agree_on_stats_all_spark(spark, peel, algo):
+    """As above, with every round on Spark."""
+    test_decompose_engines_agree_on_stats(spark, peel, algo)
+
+
 def test_spark_engine_on_paper_figure2(spark):
     edges = paper_figure2()
     res = decompose(
@@ -192,10 +199,11 @@ def test_max_rounds_fails_loudly(spark_engine, engine):
         eng.run(HIndexProgram("in"), mode="vertex", max_rounds=1)
 
 
+@pytest.mark.usefixtures("all_spark")
 def test_spark_engine_labels_jobs_and_restores_description(spark, spark_engine):
-    """Each superstep's jobs are labelled ``<programs>/r<round>``; the
-    caller's job group stays and its description comes back afterwards,
-    also when the run fails."""
+    """Each superstep's jobs are labelled ``<programs>/r<round>`` and the
+    run's collect ``<programs>/collect``; the caller's job group stays and
+    its description comes back afterwards, also when the run fails."""
     sc = spark.sparkContext
     sc.setJobGroup("labels", "caller")
     try:
@@ -206,7 +214,7 @@ def test_spark_engine_labels_jobs_and_restores_description(spark, spark_engine):
                   for j in sc.statusTracker().getJobIdsForGroup("labels")}
         rounds = range(1, len(stats.msgs_per_round))
         assert labels == {f"HIndexProgram/r{r}" for r in rounds} | {
-            "HIndexProgram/values"}
+            "HIndexProgram/collect"}
         with pytest.raises(RuntimeError, match="no convergence"):
             spark_engine.run(HIndexProgram("in"), mode="vertex", max_rounds=1)
         assert sc.getLocalProperty("spark.job.description") == "caller"
@@ -217,8 +225,9 @@ def test_spark_engine_labels_jobs_and_restores_description(spark, spark_engine):
 
 
 def test_spark_engine_job_budget_on_paper_figure2(spark):
-    """A superstep costs at most one shuffle-map job and one write job,
-    and the final values one collect."""
+    """A Spark superstep costs at most one shuffle-map job and one
+    checkpoint job, and the run one collect. On Fig 2, round 2 of the
+    in/out pair runs on the driver."""
     edges = paper_figure2()
     g = adjacency(edges)
     eng = SparkEngine(spark, g, hash_partition(g, 8), 8)
@@ -233,10 +242,10 @@ def test_spark_engine_job_budget_on_paper_figure2(spark):
         sc.setLocalProperty("spark.jobGroup.id", None)
         sc.setJobDescription(None)
     name = "HIndexProgram+HIndexProgram"
-    steps = range(1, max(len(s.msgs_per_round) for _, s in results))
-    assert set(jobs) == {f"{name}/r{r}" for r in steps} | {f"{name}/values"}
-    assert all(jobs[f"{name}/r{r}"] <= 2 for r in steps), jobs
-    assert jobs[f"{name}/values"] == 1
+    assert [s.driver_round for _, s in results] == [2, 2]
+    assert set(jobs) == {f"{name}/r1", f"{name}/collect"}
+    assert jobs[f"{name}/r1"] <= 2, jobs
+    assert jobs[f"{name}/collect"] == 1
 
 
 def test_round0_ingest_has_engine_schema(spark):
@@ -307,6 +316,9 @@ def test_empty_graph_agrees_across_engines_and_peeling(spark, algo):
     assert r_spark.skyline == r_local.skyline == {}
     assert r_spark.total_rounds == r_local.total_rounds == peel_stats.rounds == 0
     assert r_spark.stats == r_local.stats
+    for s in r_spark.stats.values():
+        assert s.msgs_per_round == s.changed_per_round == [0, 0]
+        assert s.driver_round is None
 
 
 def test_spark_engine_rejects_partial_partition(spark):
@@ -371,6 +383,79 @@ def test_run_many_matches_sequential_runs(spark, engine, mode):
     assert eng.run_many(programs, mode=mode) == solo
 
 
+@pytest.mark.usefixtures("all_spark")
+@pytest.mark.parametrize("mode", ["vertex", "block"])
+def test_run_many_matches_sequential_runs_all_spark(spark, mode):
+    """As above, with every round on Spark."""
+    test_run_many_matches_sequential_runs(spark, "spark", mode)
+
+
+@pytest.mark.parametrize("mode,limit,switch", [("vertex", 3, 8), ("block", 2, 5)])
+def test_run_many_tail_after_a_program_is_quiet(spark, monkeypatch, mode, limit,
+                                                switch):
+    """The in-H-index goes quiet in round ``switch``, whose frontier is
+    the first within ``limit``: the other two programs finish on the
+    driver, and every program's values and stats are its solo run's."""
+    monkeypatch.setattr(engine_mod, "TAIL_FRONTIER", limit)
+    g = adjacency(STAGGERED)
+    part = hash_partition(g, 3)
+    programs = [HIndexProgram("in"), HIndexProgram("out"), _WavefrontProgram()]
+    local = LocalEngine(g, part)
+    solo = [local.run(p, mode=mode) for p in programs]
+    assert len(solo[0][1].msgs_per_round) - 1 == switch
+    got = SparkEngine(spark, g, part, 3).run_many(programs, mode=mode)
+    assert got == solo
+    assert [s.driver_round for _, s in got] == [None, switch + 1, switch + 1]
+
+
+def test_driver_rounds_hold_no_checkpoint(spark, monkeypatch):
+    """While the driver runs a tail, no checkpoint of the run is left in
+    executor storage; values and stats are LocalEngine's."""
+    monkeypatch.setattr(engine_mod, "TAIL_FRONTIER", 2)
+    g = adjacency([(i, i + 1) for i in range(22)])
+    part = hash_partition(g, 2)
+    before, held = _persistent(spark), []
+    local_round = engine_mod.local_round
+
+    def spy(*args):
+        held.append(_persistent(spark) - before)
+        return local_round(*args)
+
+    monkeypatch.setattr(engine_mod, "local_round", spy)
+    values, stats = SparkEngine(spark, g, part, 2).run(_WavefrontProgram(), "vertex")
+    assert (values, stats) == LocalEngine(g, part).run(_WavefrontProgram(), "vertex")
+    assert stats.driver_round == 2
+    assert len(held) == len(stats.msgs_per_round) - 2 == 22
+    assert all(h == set() for h in held)
+
+
+#: AC in vertex mode on this graph (3 hash blocks) reaches a small
+#: frontier in Phase I after round 4 (5 messages) and in Phase III after
+#: round 3 (8 messages plus 1 vertex that re-checks itself).
+TAIL_EDGES = er_digraph(50, 300, seed=10)
+
+
+@pytest.mark.parametrize("limit,driver_rounds", [
+    (9, {"phase1": 5, "phase2": None, "phase3": 4}),
+    (8, {"phase1": 5, "phase2": None, "phase3": None}),
+])
+def test_tail_switches_mid_run_with_messages_pending(spark, monkeypatch, limit,
+                                                     driver_rounds):
+    """A switch after round 3 or later, with messages in flight, gives
+    LocalEngine's values and whole stats; RefineProgram's self re-checks
+    count in the frontier."""
+    monkeypatch.setattr(engine_mod, "TAIL_FRONTIER", limit)
+    kw = dict(algo="AC", mode="vertex", partitioner="hash", n_blocks=3)
+    local = decompose(None, TAIL_EDGES, engine="local", **kw)
+    dist = decompose(spark, TAIL_EDGES, engine="spark", **kw)
+    assert dist.anchored == local.anchored
+    assert dist.stats == local.stats
+    assert {p: s.driver_round for p, s in dist.stats.items()} == driver_rounds
+    for phase, r in driver_rounds.items():
+        if r is not None:
+            assert r >= 4 and local.stats[phase].msgs_per_round[r - 1] > 0
+
+
 def test_failed_run_releases_its_checkpoints(spark, spark_engine):
     """A run that raises frees the checkpoint it was holding."""
     before = _persistent(spark)
@@ -379,6 +464,7 @@ def test_failed_run_releases_its_checkpoints(spark, spark_engine):
     assert _persistent(spark) == before
 
 
+@pytest.mark.usefixtures("all_spark")
 def test_at_most_two_checkpoints_alive(spark, monkeypatch):
     """Each round's checkpoint is released once the next round is
     materialised, so a long run holds at most two at a time."""
