@@ -15,7 +15,7 @@ def test_bench_table3_stats(benchmark, spark, name):
 
     def run():
         s = graph_summary(edges_df)
-        c = core_limits(spark, edges_df)
+        c = core_limits(edges_df)
         return {**s, **c}
 
     result = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)

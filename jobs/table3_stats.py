@@ -24,7 +24,7 @@ def table3_rows(spark, names: list[str]) -> list[list]:
     for name in names:
         edges = edges_to_spark(spark, list(load(name)))
         s = graph_summary(edges)
-        c = core_limits(spark, edges)
+        c = core_limits(edges)
         p = PAPER_TABLE3[name]
         rows.append(
             [

@@ -71,26 +71,27 @@ def _levels_affected(value: list[int], old: list[int] | None, new: list[int]) ->
 class LUppProgram(VertexProgram):
     """Phase II: batch upper bounds ``l_upp(k, v)``, k in [0, k_max(v)].
 
-    Value: list of ints indexed by k. ``attrs`` must provide ``kmax``
-    (v's own) and ``nbr_kmax`` (k_max of every neighbor), which define the
-    induced subgraphs G[k]: an out-neighbor u participates at level k iff
-    ``k_max(u) >= k``.
+    Value: list of ints indexed by k. ``kmax`` is Phase I's result, k_max
+    of every vertex, which defines the induced subgraphs G[k]: an
+    out-neighbor u participates at level k iff ``k_max(u) >= k``.
     """
 
     consumes = "out"
     idempotent = True  # per level, min(value[k], h_k) of a fixed cache
 
+    def __init__(self, kmax: dict[int, int]):
+        self.kmax = kmax
+
     def init_value(self, ctx: VertexCtx) -> list[int]:
-        kmax = ctx.attrs["kmax"]
-        nk = ctx.attrs["nbr_kmax"]
+        nk = self.kmax
         return [
-            sum(1 for u in ctx.out_nbrs if nk[u] >= k) for k in range(kmax + 1)
+            sum(1 for u in ctx.out_nbrs if nk[u] >= k) for k in range(nk[ctx.vid] + 1)
         ]
 
     def update(
         self, ctx: VertexCtx, value: list[int], cache: dict[int, Any]
     ) -> list[int]:
-        nk = ctx.attrs["nbr_kmax"]
+        nk = self.kmax
         new = list(value)
         for k in range(len(value)):
             vals = []
@@ -115,7 +116,7 @@ class LUppProgram(VertexProgram):
 class RefineProgram(VertexProgram):
     """Phase III: refine ``l_upp`` to the exact ``l_max`` (Theorem 4.3).
 
-    Value: list of ints indexed by k, initialised from ``attrs['lupp']``.
+    Value: list of ints indexed by k, initialised from Phase II's ``lupp``.
     One update decrements each level by at most 1 (matching Algorithm 4's
     per-round single decrement; block mode reaches the local fixpoint by
     re-running the update). A neighbor counts at level k only if it is in
@@ -128,13 +129,17 @@ class RefineProgram(VertexProgram):
 
     consumes = "both"
 
+    def __init__(self, kmax: dict[int, int], lupp: dict[int, list[int]]):
+        self.kmax = kmax
+        self.lupp = lupp
+
     def init_value(self, ctx: VertexCtx) -> list[int]:
-        return list(ctx.attrs["lupp"])
+        return list(self.lupp[ctx.vid])
 
     def update(
         self, ctx: VertexCtx, value: list[int], cache: dict[int, Any]
     ) -> list[int]:
-        nk = ctx.attrs["nbr_kmax"]
+        nk = self.kmax
         new = list(value)
         for k in range(len(value)):
             cur = value[k]
@@ -169,6 +174,7 @@ class RefineProgram(VertexProgram):
         return len(value)
 
 
+# Not called; kept because perfbench's tracer wraps it by name.
 def neighbor_attr_map(
     in_nbrs: dict[int, tuple], out_nbrs: dict[int, tuple], values: dict[int, int]
 ) -> dict[int, dict[int, int]]:
@@ -189,14 +195,8 @@ def run_anchored(engine, mode: str = "vertex"):
     with per-phase :class:`~repro.framework.block_runtime.RunStats`.
     """
     kmax, s1 = engine.run(HIndexProgram("in"), mode=mode)
-    nbr_kmax = neighbor_attr_map(engine.in_nbrs, engine.out_nbrs, kmax)
-    attrs2 = {v: {"kmax": kmax[v], "nbr_kmax": nbr_kmax[v]} for v in kmax}
-    lupp, s2 = engine.run(LUppProgram(), mode=mode, attrs=attrs2)
-    attrs3 = {
-        v: {"kmax": kmax[v], "nbr_kmax": nbr_kmax[v], "lupp": lupp[v]}
-        for v in kmax
-    }
-    lmax, s3 = engine.run(RefineProgram(), mode=mode, attrs=attrs3)
+    lupp, s2 = engine.run(LUppProgram(kmax), mode=mode)
+    lmax, s3 = engine.run(RefineProgram(kmax, lupp), mode=mode)
     return lmax, {"phase1": s1, "phase2": s2, "phase3": s3}
 
 

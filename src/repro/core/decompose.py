@@ -99,9 +99,9 @@ def decompose(
 ) -> DecomposeResult:
     """Run a full distributed D-core decomposition.
 
-    ``engine="spark"`` runs one grouped shuffle per superstep (requires
-    ``spark``); ``engine="local"`` runs the in-process reference engine
-    with identical semantics (fast path for tests/CI).
+    ``engine="spark"`` runs grouped-shuffle supersteps, then a small-frontier
+    tail on the driver (requires ``spark``); ``engine="local"`` runs the
+    in-process reference engine with identical semantics (fast path for CI).
     """
     if algo not in ("AC", "SC"):
         raise ValueError(f"algo must be AC or SC, got {algo!r}")

@@ -23,15 +23,18 @@ class SkylineProgram(VertexProgram):
     """Algorithm 5's per-vertex routine; the update is Algorithm 6.
 
     Value: the vertex's current D-index — a list of (k, l) tuples sorted
-    by k descending. ``attrs['init_pair']`` carries (k_max(v), l_max(v)).
+    by k descending, from (k_max(v), l_max(v)) = (``kmax[v]``, ``lmax[v]``).
     """
 
     consumes = "both"
     idempotent = True  # the D-index of the cache, whatever the value
 
+    def __init__(self, kmax: dict[int, int], lmax: dict[int, int]):
+        self.kmax = kmax
+        self.lmax = lmax
+
     def init_value(self, ctx: VertexCtx) -> list[Pair]:
-        k0, l0 = ctx.attrs["init_pair"]
-        return [(int(k0), int(l0))]
+        return [(self.kmax[ctx.vid], self.lmax[ctx.vid])]
 
     def update(
         self, ctx: VertexCtx, value: list[Pair], cache: dict[int, Any]
@@ -84,8 +87,7 @@ def run_skyline(engine, mode: str = "vertex"):
     """
     init = [HIndexProgram("in"), HIndexProgram("out")]
     (kmax, s_in), (lmax, s_out) = engine.run_many(init, mode=mode)
-    attrs = {v: {"init_pair": [kmax[v], lmax[v]]} for v in kmax}
-    sc, s_d = engine.run(SkylineProgram(), mode=mode, attrs=attrs)
+    sc, s_d = engine.run(SkylineProgram(kmax, lmax), mode=mode)
     sc = {v: skyline(pairs) for v, pairs in sc.items()}
     return sc, {"init_in": s_in, "init_out": s_out, "dindex": s_d}
 

@@ -45,12 +45,12 @@ UNKNOWN = None
 
 @dataclass(frozen=True)
 class VertexCtx:
-    """Static per-vertex context handed to programs."""
+    """Static per-vertex context handed to programs; any other input of a
+    program (e.g. an earlier phase's values) is the program's own state."""
 
     vid: int
     in_nbrs: tuple[int, ...]
     out_nbrs: tuple[int, ...]
-    attrs: dict[str, Any]
 
 
 class VertexProgram(ABC):
@@ -127,21 +127,6 @@ class VRec:
     cache: dict[int, Any] = field(default_factory=dict)
     changed_round: int = 0
     self_active: bool = False  # re-check next round after a self-change (VC)
-
-
-def new_rec(
-    program: VertexProgram,
-    vid: int,
-    in_nbrs: tuple[int, ...],
-    out_nbrs: tuple[int, ...],
-    attrs: dict[str, Any],
-    partition: dict[int, int],
-) -> VRec:
-    """A vertex's state before round 0: its context, its block, and the
-    (vid, block) routing list of its value's consumers."""
-    ctx = VertexCtx(vid=vid, in_nbrs=in_nbrs, out_nbrs=out_nbrs, attrs=attrs)
-    consumers = tuple((c, partition[c]) for c in program.consumers(ctx))
-    return VRec(ctx=ctx, block=partition[vid], consumers=consumers)
 
 
 #: A message: (dst_block, dst_vid, src_vid, payload).

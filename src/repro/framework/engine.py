@@ -61,11 +61,14 @@ executor fails the run loudly instead of recomputing the round.
 
 Every row of a superstep's output is ``kind, block, vid, src,
 changed_round, size`` plus one opaque ``data binary`` column: a state row
-(``kind = "s"``) carries the pickled :class:`VRec`, a message row
-(``kind = "m"``) the pickled payload. The programs never see the wire
-format, and the engine is generic over their value types. The pickles are
-only ever read back from rows this engine built on the driver or from its
-own checkpoint blocks of the same run, never from user input.
+(``kind = "s"``) carries the pickled :class:`VRec` (graph context,
+consumers, dynamic state), a message row (``kind = "m"``) the pickled
+payload. A program's own inputs (e.g. AC's ``k_max``) ride in the pickled
+UDF closure, once per task, never in a row. The programs never
+see the wire format, and the engine is generic over their value types.
+The pickles are only ever read back from rows this engine built on the
+driver or from its own checkpoint blocks of the same run, never from
+user input.
 """
 from __future__ import annotations
 
@@ -179,25 +182,22 @@ class SparkEngine:
     ):
         check_partition(graph, partition, n_blocks)
         self.spark = spark
+        self.graph = graph
         self.partition = dict(partition)
         self.n_blocks = n_blocks
-        self.vertices, self.in_nbrs, self.out_nbrs = (
-            graph.vertices, graph.in_nbrs, graph.out_nbrs)
 
     def run(
         self,
         program: VertexProgram,
         mode: str = "vertex",
-        attrs: dict[int, dict[str, Any]] | None = None,
         max_rounds: int = 100_000,
     ) -> tuple[dict[int, Any], RunStats]:
-        return self.run_many([program], mode, [attrs], max_rounds)[0]
+        return self.run_many([program], mode, max_rounds)[0]
 
     def run_many(
         self,
         programs: list[VertexProgram],
         mode: str = "vertex",
-        attrs_list: list[dict[int, dict[str, Any]] | None] | None = None,
         max_rounds: int = 100_000,
     ) -> list[tuple[dict[int, Any], RunStats]]:
         """Run independent programs in one superstep stream: one
@@ -206,10 +206,8 @@ class SparkEngine:
         sc, nb = self.spark.sparkContext, self.n_blocks
         names = "+".join(type(p).__name__ for p in programs)
         stats, rows = [], []
-        for i, (program, attrs) in enumerate(
-            zip(programs, attrs_list or [None] * len(programs))
-        ):
-            blocks, pending, s = init_run(self, program, mode, attrs)
+        for i, program in enumerate(programs):
+            blocks, pending, s = init_run(self.graph, self.partition, program, mode)
             stats.append(s)
             recs = (r for b in blocks.values() for r in b.values())
             rows += _rows(recs, pending, program, i * nb)

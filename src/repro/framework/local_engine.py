@@ -14,10 +14,10 @@ from typing import Any
 from repro.framework.block_runtime import (
     Message,
     RunStats,
+    VertexCtx,
     VertexProgram,
     VRec,
     init_block,
-    new_rec,
     run_block_round,
     run_rounds,
 )
@@ -72,18 +72,19 @@ def check_partition(
 
 
 def init_run(
-    eng, program: VertexProgram, mode: str, attrs: dict[int, dict[str, Any]] | None
+    graph: Graph, partition: dict[int, int], program: VertexProgram, mode: str
 ) -> tuple[dict[int, dict[int, VRec]], list[Message], RunStats]:
-    """Round 0 on the graph of ``eng`` (either engine): every vertex's
-    state after ``init_block``, grouped by block in vid order; the messages
-    sent; and the stats so far."""
+    """Round 0 of ``program`` on ``graph`` split by ``partition`` (either
+    engine): every vertex's state after ``init_block`` (its context, block
+    and the (vid, block) routing list of its value's consumers), grouped by
+    block in vid order; the messages sent; and the stats so far."""
     if mode not in ("vertex", "block"):
         raise ValueError(f"unknown mode {mode!r}")
     blocks: dict[int, dict[int, VRec]] = defaultdict(dict)
-    for v in eng.vertices:
-        rec = new_rec(program, v, eng.in_nbrs[v], eng.out_nbrs[v],
-                      (attrs or {}).get(v, {}), eng.partition)
-        blocks[rec.block][v] = rec
+    for v in graph.vertices:
+        ctx = VertexCtx(v, graph.in_nbrs[v], graph.out_nbrs[v])
+        consumers = tuple((c, partition[c]) for c in program.consumers(ctx))
+        blocks[partition[v]][v] = VRec(ctx, partition[v], consumers)
     pending: list[Message] = []
     for bid, recs in blocks.items():
         pending += init_block(bid, recs, program, mode)
@@ -147,32 +148,28 @@ class LocalEngine:
     """
 
     def __init__(self, graph: Graph, partition: dict[int, int] | None = None):
-        self.vertices, self.in_nbrs, self.out_nbrs = (
-            graph.vertices, graph.in_nbrs, graph.out_nbrs)
-        self.partition = partition or {v: 0 for v in self.vertices}
+        self.graph = graph
+        self.partition = (
+            {v: 0 for v in graph.vertices} if partition is None else partition)
         check_partition(graph, self.partition)
 
     def run_many(
         self,
         programs: list[VertexProgram],
         mode: str = "vertex",
-        attrs_list: list[dict[int, dict[str, Any]] | None] | None = None,
         max_rounds: int = 100_000,
     ) -> list[tuple[dict[int, Any], RunStats]]:
         """``run`` of each program in turn: in process there is no
         superstep barrier for independent programs to share."""
-        attrs_list = attrs_list or [None] * len(programs)
-        return [self.run(p, mode, a, max_rounds)
-                for p, a in zip(programs, attrs_list)]
+        return [self.run(p, mode, max_rounds) for p in programs]
 
     def run(
         self,
         program: VertexProgram,
         mode: str = "vertex",
-        attrs: dict[int, dict[str, Any]] | None = None,
         max_rounds: int = 100_000,
     ) -> tuple[dict[int, Any], RunStats]:
-        blocks, pending, stats = init_run(self, program, mode, attrs)
+        blocks, pending, stats = init_run(self.graph, self.partition, program, mode)
 
         def step(r: int, live: set[int]) -> dict[int, tuple[int, int, int]]:
             nonlocal pending

@@ -2,11 +2,11 @@
 
 Degree statistics are computed with DataFrame aggregations (and checked
 against DuckDB in the tests); ``k_max``/``l_max`` are graph-level core
-statistics obtained from the distributed Phase-I H-index fixpoints.
+statistics from the Phase-I H-index fixpoints on the collected edges.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.anchored import HIndexProgram
@@ -55,7 +55,7 @@ def graph_summary(edges: DataFrame) -> dict:
     return d
 
 
-def core_limits(spark: SparkSession, edges: DataFrame, mode: str = "block") -> dict:
+def core_limits(edges: DataFrame, mode: str = "block") -> dict:
     """Graph-level ``k_max``/``l_max`` (Table 3's last two columns): the
     maxima of the per-vertex Phase-I in-/out-H-index fixpoints."""
     eng = LocalEngine(adjacency(edges_from_spark(edges)))

@@ -11,7 +11,6 @@ from repro.core.anchored import (
     LUppProgram,
     RefineProgram,
     anchored_to_skyline,
-    neighbor_attr_map,
     run_anchored,
 )
 from repro.core.dindex import skyline
@@ -73,9 +72,7 @@ def test_phase2_upper_bounds_dominate_lmax(gname, oracles):
     edges = GRAPHS[gname]
     eng = LocalEngine(adjacency(edges))
     kmax, _ = eng.run(HIndexProgram("in"), mode="block")
-    nbr_kmax = neighbor_attr_map(eng.in_nbrs, eng.out_nbrs, kmax)
-    attrs = {v: {"kmax": kmax[v], "nbr_kmax": nbr_kmax[v]} for v in kmax}
-    lupp, _ = eng.run(LUppProgram(), mode="block", attrs=attrs)
+    lupp, _ = eng.run(LUppProgram(kmax), mode="block")
     for v, arr in oracles[gname].items():
         assert len(lupp[v]) == len(arr)
         assert all(u >= l for u, l in zip(lupp[v], arr))
@@ -89,14 +86,12 @@ def test_level_payload_size_matches_generic_walk(gname):
     edges = GRAPHS[gname]
     eng = LocalEngine(adjacency(edges))
     kmax, _ = eng.run(HIndexProgram("in"), mode="block")
-    nbr_kmax = neighbor_attr_map(eng.in_nbrs, eng.out_nbrs, kmax)
-    attrs = {v: {"kmax": kmax[v], "nbr_kmax": nbr_kmax[v]} for v in kmax}
-    lupp, _ = eng.run(LUppProgram(), mode="block", attrs=attrs)
+    lupp, _ = eng.run(LUppProgram(kmax), mode="block")
     lmax, _ = run_anchored(eng, mode="block")
     walk = HIndexProgram("in").payload_size
     for arr in list(lupp.values()) + list(lmax.values()):
-        assert LUppProgram().payload_size(arr) == walk(arr)
-        assert RefineProgram().payload_size(arr) == walk(arr)
+        assert LUppProgram(kmax).payload_size(arr) == walk(arr)
+        assert RefineProgram(kmax, lupp).payload_size(arr) == walk(arr)
 
 
 @pytest.mark.parametrize("gname", sorted(GRAPHS))
@@ -134,7 +129,7 @@ def test_anchored_random_graphs(edges, mode, n_blocks):
 def test_hindex_update_reads_unknown_entry_as_missing(direction):
     """An explicit UNKNOWN (None) cache entry counts as the top value,
     exactly like a neighbor with no entry yet."""
-    ctx = VertexCtx(vid=0, in_nbrs=(1, 2, 3), out_nbrs=(1, 2, 3), attrs={})
+    ctx = VertexCtx(vid=0, in_nbrs=(1, 2, 3), out_nbrs=(1, 2, 3))
     prog = HIndexProgram(direction)
     assert prog.update(ctx, 3, {1: UNKNOWN, 2: 1, 3: UNKNOWN}) == 2
     assert prog.update(ctx, 3, {2: 1}) == 2

@@ -42,6 +42,15 @@ def test_partition_must_cover_vertices():
         LocalEngine(adjacency([(1, 2)]), {1: 0})
 
 
+def test_explicit_empty_partition_is_not_the_default():
+    """Only ``partition=None`` means one block: an empty partition of a
+    non-empty graph misses its vertices, as on SparkEngine."""
+    with pytest.raises(ValueError):
+        LocalEngine(adjacency([(1, 2), (2, 1)]), {})
+    assert LocalEngine(adjacency([])).partition == {}
+    assert LocalEngine(adjacency([(1, 2)])).partition == {1: 0, 2: 0}
+
+
 def test_unknown_mode_rejected():
     eng = LocalEngine(GRAPH)
     with pytest.raises(ValueError):
@@ -128,7 +137,7 @@ def test_runstats_metrics():
     _, stats = eng.run(HIndexProgram("in"), mode="vertex")
     assert stats.rounds >= 1
     assert stats.total_messages == sum(stats.msgs_per_round)
-    assert set(stats.converge_round) == set(eng.vertices)
+    assert set(stats.converge_round) == set(eng.graph.vertices)
     # convergence_rate is monotone in the round index and hits 1.0
     rates = [stats.convergence_rate(r) for r in range(stats.rounds + 1)]
     assert all(a <= b for a, b in zip(rates, rates[1:]))
@@ -223,19 +232,19 @@ def _draw_skyline(data):
     return skyline(pairs)
 
 
-def _draw_entry(data, prog, nbr_kmax, u):
+def _draw_entry(data, prog, kmax, u):
     """A neighbor's value as the program's update reads it."""
     if isinstance(prog, HIndexProgram):
         return data.draw(SMALL)
     if isinstance(prog, SkylineProgram):
         return _draw_skyline(data)
-    return _draw_levels(data, nbr_kmax[u] + 1)
+    return _draw_levels(data, kmax[u] + 1)
 
 
-def _draw_drop(data, prog, nbr_kmax, u, old):
+def _draw_drop(data, prog, kmax, u, old):
     """A neighbor's next value: below or equal to ``old``, any if unknown."""
     if old is None:
-        return _draw_entry(data, prog, nbr_kmax, u)
+        return _draw_entry(data, prog, kmax, u)
     if isinstance(prog, HIndexProgram):
         return data.draw(st.integers(0, old))
     if isinstance(prog, SkylineProgram):
@@ -246,44 +255,43 @@ def _draw_drop(data, prog, nbr_kmax, u, old):
     return [data.draw(st.integers(0, x)) for x in old]
 
 
-def _draw_vertex(data, prog):
-    """A vertex's context and a cache of its consumed neighbors' values."""
+def _draw_vertex(data, make):
+    """A program built by ``make`` from a drawn k_max map, the context of
+    its vertex 0 and a cache of its consumed neighbors' values."""
     nbrs = st.lists(st.integers(1, 6), unique=True, max_size=6).map(tuple)
-    ctx_nbrs = {"in_nbrs": data.draw(nbrs), "out_nbrs": data.draw(nbrs)}
-    nbr_kmax = {u: data.draw(st.integers(0, 3))
-                for u in ctx_nbrs["in_nbrs"] + ctx_nbrs["out_nbrs"]}
-    kmax = data.draw(st.integers(0, 3))
-    ctx = VertexCtx(vid=0, attrs={"kmax": kmax, "nbr_kmax": nbr_kmax},
-                    **ctx_nbrs)
+    ctx = VertexCtx(vid=0, in_nbrs=data.draw(nbrs), out_nbrs=data.draw(nbrs))
+    kmax = {u: data.draw(st.integers(0, 3)) for u in ctx.in_nbrs + ctx.out_nbrs}
+    kmax[0] = data.draw(st.integers(0, 3))
+    prog = make(kmax)
     consumed = prog.consumed_nbrs(ctx)
     assume(consumed)
     # A neighbor missing from the cache has not sent yet: UNKNOWN.
     cache = {
-        u: _draw_entry(data, prog, nbr_kmax, u)
+        u: _draw_entry(data, prog, kmax, u)
         for u in consumed if data.draw(st.booleans())
     }
-    return ctx, cache
+    return prog, ctx, cache, kmax
 
 
-PROGRAMS = [
-    HIndexProgram("in"), HIndexProgram("out"), LUppProgram(), RefineProgram(),
-    SkylineProgram(),
-]
+#: Each program under test, built from a k_max map as its phase gets it.
+#: ``lupp`` and ``lmax`` only feed ``init_value``, which these tests skip.
+PROGRAMS = {
+    "HIndexProgram-in": lambda kmax: HIndexProgram("in"),
+    "HIndexProgram-out": lambda kmax: HIndexProgram("out"),
+    "LUppProgram-out": lambda kmax: LUppProgram(kmax),
+    "RefineProgram-both": lambda kmax: RefineProgram(kmax, lupp={}),
+    "SkylineProgram-both": lambda kmax: SkylineProgram(kmax, lmax={}),
+}
 
 
-def _prog_id(p):
-    return f"{type(p).__name__}-{p.consumes}"
-
-
-@pytest.mark.parametrize("prog", PROGRAMS, ids=_prog_id)
+@pytest.mark.parametrize("name", list(PROGRAMS))
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_affected_false_means_update_keeps_value(prog, data):
+def test_affected_false_means_update_keeps_value(name, data):
     """Soundness of the activation filter: for an up-to-date vertex and one
     neighbor's drop old -> new, ``affected`` is False only if ``update``
     on the new cache still returns the vertex's value."""
-    ctx, cache = _draw_vertex(data, prog)
-    nbr_kmax, kmax = ctx.attrs["nbr_kmax"], ctx.attrs["kmax"]
+    prog, ctx, cache, kmax = _draw_vertex(data, PROGRAMS[name])
     consumed = prog.consumed_nbrs(ctx)
     # Up to date: iterate update from an arbitrary start to its fixpoint.
     if isinstance(prog, HIndexProgram):
@@ -291,32 +299,32 @@ def test_affected_false_means_update_keeps_value(prog, data):
     elif isinstance(prog, SkylineProgram):
         value = None
     else:
-        value = _draw_levels(data, kmax + 1)
+        value = _draw_levels(data, kmax[0] + 1)
     while (nxt := prog.update(ctx, value, cache)) != value:
         value = nxt
 
     u = data.draw(st.sampled_from(consumed))
     old = cache.get(u, UNKNOWN)
-    new = _draw_drop(data, prog, nbr_kmax, u, old)
+    new = _draw_drop(data, prog, kmax, u, old)
     if not prog.affected(value, old, new):
         assert prog.update(ctx, value, {**cache, u: new}) == value
 
 
-@pytest.mark.parametrize("prog", [p for p in PROGRAMS if p.idempotent],
-                         ids=_prog_id)
+@pytest.mark.parametrize(
+    "name", [n for n, make in PROGRAMS.items() if make({}).idempotent])
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_idempotent_program_update_is_idempotent(prog, data):
+def test_idempotent_program_update_is_idempotent(name, data):
     """A program that declares ``idempotent`` is: updating again on the
     same cache returns the same value, so a vertex that just changed is
     up to date and needs no self re-check."""
-    ctx, cache = _draw_vertex(data, prog)
+    prog, ctx, cache, kmax = _draw_vertex(data, PROGRAMS[name])
     if isinstance(prog, HIndexProgram):
         value = data.draw(SMALL)
     elif isinstance(prog, SkylineProgram):
         value = _draw_skyline(data)
     else:
-        value = _draw_levels(data, ctx.attrs["kmax"] + 1)
+        value = _draw_levels(data, kmax[0] + 1)
     once = prog.update(ctx, value, cache)
     assert prog.update(ctx, once, cache) == once
 
@@ -325,9 +333,9 @@ def test_refine_program_is_not_idempotent():
     """Algorithm 4 lowers a level by at most one per update, so a second
     update on the same cache can lower it again: Phase III keeps the self
     re-check."""
-    prog = RefineProgram()
-    ctx = VertexCtx(vid=0, in_nbrs=(), out_nbrs=(1,),
-                    attrs={"kmax": 0, "nbr_kmax": {1: 0}})
+    prog = RefineProgram(kmax={0: 0, 1: 0}, lupp={0: [2]})
+    ctx = VertexCtx(vid=0, in_nbrs=(), out_nbrs=(1,))
+    assert prog.init_value(ctx) == [2]
     cache = {1: [0]}
     once = prog.update(ctx, [2], cache)
     assert once == [1]

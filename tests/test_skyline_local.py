@@ -57,12 +57,12 @@ def test_property51_neighbor_support(gname, oracles):
         for k, l in pairs:
             n_in = sum(
                 1
-                for u in eng.in_nbrs[v]
+                for u in eng.graph.in_nbrs[v]
                 if any(dominates_or_equal((k, l), p) for p in sc[u])
             )
             n_out = sum(
                 1
-                for u in eng.out_nbrs[v]
+                for u in eng.graph.out_nbrs[v]
                 if any(dominates_or_equal((k, l), p) for p in sc[u])
             )
             assert n_in >= k and n_out >= l
@@ -119,6 +119,9 @@ def test_skyline_random_graphs(edges, mode, n_blocks):
     assert sc == anchored_to_skyline(peel_decompose(edges)[0])
     # SkylineProgram's 2-per-pair payload size is the count of the generic
     # walk, which HIndexProgram inherits from VertexProgram unchanged.
+    init = [HIndexProgram("in"), HIndexProgram("out")]
+    (kmax, _), (lmax, _) = eng.run_many(init, mode=mode)
+    prog = SkylineProgram(kmax, lmax)
     walk = HIndexProgram("in").payload_size
     for pairs in sc.values():
-        assert SkylineProgram().payload_size(pairs) == walk(pairs)
+        assert prog.payload_size(pairs) == walk(pairs)

@@ -63,13 +63,9 @@ def peel():
 
 
 def test_adjacency_matches_local(spark_engine):
+    """Both engines hold the one graph they were given, not a copy."""
     local = LocalEngine(GRAPH, PART)
-    assert {v: sorted(t) for v, t in spark_engine.in_nbrs.items()} == {
-        v: sorted(t) for v, t in local.in_nbrs.items()
-    }
-    assert {v: sorted(t) for v, t in spark_engine.out_nbrs.items()} == {
-        v: sorted(t) for v, t in local.out_nbrs.items()
-    }
+    assert spark_engine.graph is local.graph is GRAPH
 
 
 @pytest.mark.parametrize("mode", ["vertex", "block"])
@@ -105,8 +101,9 @@ def test_decompose_spark_correct(spark, algo, mode, peel):
 @pytest.mark.parametrize("algo", ["AC", "SC"])
 def test_decompose_engines_agree_on_stats(spark, peel, algo):
     """Rounds, message counts and volumes are engine-invariant by
-    construction, in every phase — including AC's Phases II/III, whose
-    int-keyed ``nbr_kmax`` attrs must survive the Spark superstep rows."""
+    construction, in every phase — including AC's Phases II/III and SC's
+    D-index run, whose programs carry the earlier phases' int-keyed values
+    into the Spark superstep UDF."""
     kw = dict(algo=algo, mode="block", partitioner="metis", n_blocks=4)
     r_spark = decompose(spark, edges_to_spark(spark, EDGES), engine="spark", **kw)
     r_local = decompose(None, EDGES, engine="local", **kw)
@@ -267,7 +264,7 @@ def test_round_fn_passes_quiet_program_through(spark_engine, monkeypatch):
     """A program that is no longer live gets its group back unchanged,
     without one of its rows being unpickled; a live one is computed."""
     programs = [HIndexProgram("in"), HIndexProgram("out")]
-    blocks, _, _ = init_run(spark_engine, programs[1], "block", None)
+    blocks, _, _ = init_run(GRAPH, PART, programs[1], "block")
     group = _table(_rows(blocks[0].values(), [], programs[1], 3))
     loads = []
     monkeypatch.setattr(engine_mod, "pickle", SimpleNamespace(

@@ -101,7 +101,7 @@ def test_dotted_column_names_are_read_literally(spark):
     dotted = spark.createDataFrame(rows, "`e.src` long, `e.dst` long")
     plain = spark.createDataFrame(rows, "src long, dst long")
     assert graph_summary(dotted) == graph_summary(plain)
-    assert core_limits(spark, dotted) == core_limits(spark, plain) == {
+    assert core_limits(dotted) == core_limits(plain) == {
         "kmax": 1, "lmax": 1}
 
 
