@@ -8,15 +8,22 @@ optimizations and replaces the inner ``l`` scan with a closed form:
 
 * Optimization-1: candidate ranges bounded by ``k_hi = H({max-k of each
   in-neighbor})`` and ``l_hi = H({max-l of each out-neighbor})``, plus
-  ``l_min`` skyline pruning while scanning ``k`` downwards.
+  ``l_min`` skyline pruning while scanning ``k`` downwards. ``l_hi`` is
+  never computed on its own: it is the out-side H-index the sweep below
+  reaches at ``k = 0``, and every l is capped at the out-degree, which
+  bounds it.
 * Optimization-2: one D-index computation over *neighbors* (a neighbor
   supports a candidate ``(k, l)`` if any pair of its skyline
   dominates-or-equals it) instead of one per combinatorial instance of
   neighbor-pair choices. Per neighbor, ``maxl(k) = max{l' : (k', l')
-  in pairs, k' >= k}`` is a suffix max over ``[0, k_hi]``. For a fixed
-  ``k`` both support conditions are downward-closed in ``l``, so the
-  largest qualifying ``l`` is ``min(l_hi, k-th largest in-neighbor
-  maxl(k), H(out-neighbor maxl(k)))``: one sort and one H-index per k.
+  in pairs, k' >= k}``. For a fixed ``k`` both support conditions are
+  downward-closed in ``l``, so the largest qualifying ``l`` is
+  ``min(k-th largest in-neighbor maxl(k), H(out-neighbor maxl(k)))``.
+  Both terms only rise as ``k`` falls, so one downward sweep over ``k``
+  keeps a count of neighbors per ``maxl`` value on each side, applies
+  each neighbor's rises at the k of its own pairs, and advances one
+  pointer per side: ``O(P log p + k_hi + d_out)`` per call for ``P``
+  pairs, at most ``p`` per neighbor.
 * Optimization-3 (tight initialization) lives in
   :mod:`repro.core.skyline`.
 
@@ -53,25 +60,32 @@ def skyline(pairs) -> list[Pair]:
     return out
 
 
-def _maxl_columns(
-    skylines: list[list[Pair]], k_hi: int, floor: int
-) -> list[tuple[int, ...]]:
-    """``cols[k][i] = maxl_i(k)`` for k in [0, k_hi], or ``floor`` where
-    no pair of neighbor i reaches k."""
-    n = k_hi + 1
-    rows = []
+def _rises(
+    skylines: list[list[Pair]], k_hi: int, cap: int, floor: int
+) -> list[list[Pair]]:
+    """``levels[k]``: the ``(old, new)`` steps of the neighbors' ``maxl``
+    at level k, for k in [0, k_hi].
+
+    Each pair list is sorted k-descending. ``maxl`` starts at ``floor``
+    and, as k falls, rises only at the k of a pair that beats its best l
+    so far. Levels above ``k_hi`` fold into ``k_hi``; l is capped at
+    ``cap``; pairs with a negative k or l are ignored.
+    """
+    levels: list[list[Pair]] = [[] for _ in range(k_hi + 1)]
     for pairs in skylines:
-        # Suffix max: in k-descending order, a pair that raises the best l
-        # so far sets maxl for every k up to its own.
-        row = [floor] * n
         best = floor
-        for k, l in sorted(pairs, reverse=True):
+        for k, l in pairs:
+            if k < 0:
+                break
             if l > best:
+                if k > k_hi:
+                    k = k_hi
+                if l >= cap:
+                    levels[k].append((best, cap))
+                    break
+                levels[k].append((best, l))
                 best = l
-                k = n if k > k_hi else k + 1
-                row[:k] = [l] * k
-        rows.append(row)
-    return list(zip(*rows))
+    return levels
 
 
 def n_order_d_index(
@@ -82,28 +96,60 @@ def n_order_d_index(
     Returns the skyline sorted by k descending. ``l_min`` starts at -1 so
     pairs with l == 0 can be emitted; the paper's pseudo-code initialises
     it to 0, but its own worked example (Table 2) contains pairs such as
-    ``(2, 0)``.
+    ``(2, 0)``. Figure 2's v7 in Table 2's first iteration:
+
+    >>> n_order_d_index([[(2, 1)]], [[(2, 2)], [(2, 2)]])
+    [(1, 1), (0, 2)]
     """
-    k_hi = h_index(max(s)[0] if s else 0 for s in in_skylines)
-    # k_hi <= len(in_skylines), so every in-column has a k-th largest.
-    # In-rows use -1 for "supports no l"; out-rows use 0, which supports
-    # only l = 0 and so leaves the H-index unchanged. With no
-    # out-neighbors every out-column is empty, so every H is 0.
-    cols_in = _maxl_columns(in_skylines, k_hi, -1)
-    cols_out = _maxl_columns(out_skylines, k_hi, 0) or [()] * (k_hi + 1)
-    l_hi = h_index(cols_out[0])  # maxl(0) is each out-neighbor's max l
+    ins = [sorted(s, reverse=True) for s in in_skylines]
+    k_hi = h_index(s[0][0] for s in ins if s and s[0][0] > 0)
+    # No result l exceeds the out-degree, so capping every l there keeps
+    # both the k-th largest in-value and the out-side H-index exact.
+    cap = len(out_skylines)
+    rise_in = _rises(ins, k_hi, cap, -1)
+    # Out-values start at 0, which supports only l = 0 and so leaves the
+    # H-index unchanged; in-values start at -1, "supports no l".
+    rise_out = _rises(
+        [sorted(s, reverse=True) for s in out_skylines], k_hi, cap, 0
+    )
+    # cnt_*[v]: neighbors whose maxl(k) is v. As k falls every value only
+    # rises, so h (the out-side H-index) and t (the k-th largest
+    # in-value, advanced only up to h) only rise; above_* counts the
+    # values above the pointer.
+    cnt_in = [0] * (cap + 1)
+    cnt_out = [0] * (cap + 1)
+    n_in = t = above_in = h = above_out = 0
     result: list[Pair] = []
     l_min = -1
     for k in range(k_hi, -1, -1):
-        l = l_hi
-        if k:
-            l = min(l, sorted(cols_in[k], reverse=True)[k - 1])
-        if l <= l_min:
-            continue
-        l = min(l, h_index(cols_out[k]))
-        if l > l_min:
-            result.append((k, l))
-            l_min = l
+        for old, new in rise_out[k]:
+            if old:
+                cnt_out[old] -= 1
+            cnt_out[new] += 1
+            if old <= h < new:
+                above_out += 1
+        while above_out > h:
+            h += 1
+            above_out -= cnt_out[h]
+        if not k:
+            break
+        for old, new in rise_in[k]:
+            if old < 0:
+                n_in += 1
+            else:
+                cnt_in[old] -= 1
+            cnt_in[new] += 1
+            if old <= t < new:
+                above_in += 1
+        if n_in >= k:  # k in-neighbors reach k at all
+            while t < h and above_in >= k:
+                t += 1
+                above_in -= cnt_in[t]
+            if t > l_min:
+                result.append((k, t))
+                l_min = t
+    if h > l_min:
+        result.append((0, h))
     return result
 
 

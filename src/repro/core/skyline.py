@@ -39,13 +39,11 @@ class SkylineProgram(VertexProgram):
     def update(
         self, ctx: VertexCtx, value: list[Pair], cache: dict[int, Any]
     ) -> list[Pair]:
-        in_sky = [
-            _TOP if cache.get(u) is None else cache[u] for u in ctx.in_nbrs
-        ]
-        out_sky = [
-            _TOP if cache.get(u) is None else cache[u] for u in ctx.out_nbrs
-        ]
-        new = n_order_d_index(in_sky, out_sky)
+        get = cache.get  # a cached value is a pair list, never None
+        new = n_order_d_index(
+            [get(u, _TOP) for u in ctx.in_nbrs],
+            [get(u, _TOP) for u in ctx.out_nbrs],
+        )
         return new if new != value else value
 
     def affected(
@@ -94,14 +92,18 @@ def run_skyline(engine, mode: str = "vertex"):
 
 def skyline_to_anchored(sc: dict[int, list[Pair]]) -> dict[int, list[int]]:
     """SC(v) → Φ(v): ``l_max(k, v) = max{l' : (k', l') ∈ SC(v), k' >= k}``
-    for ``k <= k_max(v) = max k' in SC(v)`` (partial nesting)."""
+    for ``k <= k_max(v) = max k' in SC(v)`` (partial nesting).
+
+    One suffix-max pass per vertex, so a pair list need not be a sorted
+    skyline: dominated pairs and their order do not change the result."""
     out: dict[int, list[int]] = {}
     for v, pairs in sc.items():
-        pairs = skyline(pairs)  # k desc, l asc
-        kmax = pairs[0][0] if pairs else 0
-        arr = []
-        for k in range(kmax + 1):
-            best = max((l for kk, l in pairs if kk >= k), default=0)
-            arr.append(best)
+        arr = [0] * (max(pairs)[0] + 1 if pairs else 1)
+        for k, l in pairs:
+            if l > arr[k]:
+                arr[k] = l
+        for k in range(len(arr) - 2, -1, -1):
+            if arr[k] < arr[k + 1]:
+                arr[k] = arr[k + 1]
         out[v] = arr
     return out

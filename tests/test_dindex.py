@@ -1,4 +1,6 @@
 """D-index kernel tests (Definition 5.3, Algorithm 6, dominance)."""
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from repro.core.dindex import (
     n_order_d_index_bruteforce,
     skyline,
 )
+from repro.framework.hindex import h_index
 
 
 # ---------- dominance ----------
@@ -107,11 +110,16 @@ def test_table2_v8_first_iteration():
 #: SkylineProgram's stand-in for a neighbor whose D-index has not arrived.
 TOP = [(1 << 30, 1 << 30)]
 # Unsorted pair lists with dominated pairs: the kernel must not assume its
-# inputs are skylines. One neighbor in four is the TOP sentinel.
-nbr_pairs = st.lists(
-    st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=1, max_size=5
+# inputs are skylines. A neighbor may have no pairs, a duplicated pair, or
+# pairs above any k_hi/l_hi that 20 neighbors allow (13..40); one neighbor
+# in five is the TOP sentinel.
+coord = st.integers(0, 12) | st.integers(13, 40)
+nbr_pairs = st.lists(st.tuples(coord, coord), max_size=5)
+dup_pairs = nbr_pairs.filter(bool).map(lambda ps: ps + ps[:1])
+pair_lists = st.lists(
+    st.one_of([nbr_pairs, nbr_pairs, nbr_pairs, dup_pairs, st.just(TOP)]),
+    max_size=20,
 )
-pair_lists = st.lists(st.one_of([nbr_pairs] * 3 + [st.just(TOP)]), max_size=20)
 
 
 @settings(max_examples=200, deadline=None)
@@ -137,3 +145,101 @@ def test_n_order_handles_l_zero_pairs():
 
 def test_n_order_no_neighbors():
     assert n_order_d_index([], []) == [(0, 0)]
+
+
+def test_n_order_ignores_negative_pairs():
+    """A pair with a negative k or l supports no candidate, as in the
+    brute force. Regression: indexing a per-level list with k = -1 must
+    not wrap to the top level."""
+    in_sky = [[(1, 0), (-1, 5)]]
+    out_sky = [[(2, 2)], [(2, 2)]]
+    assert n_order_d_index(in_sky, out_sky) == [(1, 0), (0, 2)]
+    assert n_order_d_index_bruteforce(in_sky, out_sky) == [(1, 0), (0, 2)]
+    # A neighbor whose only pairs are negative is a neighbor with none.
+    assert n_order_d_index([[(-3, 4)], [(2, -1)]], [[(0, 1)]]) == [(0, 1)]
+
+
+signed = st.lists(
+    st.lists(st.tuples(st.integers(-3, 8), st.integers(-3, 8)), max_size=4),
+    max_size=8,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(signed, signed)
+def test_n_order_negative_pairs_match_bruteforce(in_pairs, out_pairs):
+    assert n_order_d_index(in_pairs, out_pairs) == n_order_d_index_bruteforce(
+        in_pairs, out_pairs
+    )
+
+
+# ---------- hub-sized inputs (the brute force is too slow here) ----------
+
+def column_formula(in_sky, out_sky):
+    """The n-order D-index as per-level columns: ``cols[k][i] = maxl_i(k)``
+    for every neighbor i and k in [0, k_hi], then one sort and one H-index
+    per k. Slow, but a second derivation of the same closed form."""
+    k_hi = h_index(max(s)[0] if s else 0 for s in in_sky)
+
+    def columns(skylines, floor):
+        rows = []
+        for pairs in skylines:
+            row = [floor] * (k_hi + 1)
+            for k, l in pairs:
+                for j in range(min(k, k_hi) + 1):
+                    row[j] = max(row[j], l)
+            rows.append(row)
+        return list(zip(*rows)) or [()] * (k_hi + 1)
+
+    cols_in, cols_out = columns(in_sky, -1), columns(out_sky, 0)
+    result, l_min = [], -1
+    for k in range(k_hi, -1, -1):
+        l = h_index(cols_out[k])
+        if k:
+            l = min(l, sorted(cols_in[k], reverse=True)[k - 1])
+        if l > l_min:
+            result.append((k, l))
+            l_min = l
+    return result
+
+
+def _hub_side(rnd, n):
+    """``n`` neighbor pair lists shaped like an analog hub's cache: mostly
+    short skylines, some unsorted and dominated, a few empty or TOP."""
+    side = []
+    for _ in range(n):
+        r = rnd.random()
+        if r < 0.05:
+            side.append([])
+        elif r < 0.15:
+            side.append(list(TOP))
+        else:
+            side.append([(rnd.randint(0, 60), rnd.randint(0, 60))
+                         for _ in range(rnd.randint(1, 5))])
+    return side
+
+
+# A seeded Random, not st.randoms(): a hub's thousands of draws would
+# overrun hypothesis's per-example data budget.
+hub = st.tuples(st.integers(0, 2**32 - 1).map(random.Random), st.integers(200, 1000))
+
+
+@settings(max_examples=15, deadline=None)
+@given(hub)
+def test_hub_result_ignores_neighbor_and_pair_order(args):
+    rnd, n = args
+    in_sky, out_sky = _hub_side(rnd, n // 2), _hub_side(rnd, n - n // 2)
+    want = n_order_d_index(in_sky, out_sky)
+    for side in (in_sky, out_sky):
+        rnd.shuffle(side)
+        for pairs in side:
+            rnd.shuffle(pairs)
+    assert n_order_d_index(in_sky, out_sky) == want
+
+
+@settings(max_examples=15, deadline=None)
+@given(hub)
+def test_hub_matches_column_formula(args):
+    rnd, n = args
+    in_sky, out_sky = _hub_side(rnd, n // 2), _hub_side(rnd, n - n // 2)
+    assert n_order_d_index(in_sky, out_sky) == column_formula(in_sky, out_sky)

@@ -46,6 +46,30 @@ def test_sc_equals_skyline_of_ac(gname):
     assert skyline_to_anchored(sc) == ac
 
 
+#: Φ(v) arrays: non-empty, non-increasing in k (partial nesting).
+anchored_arrays = st.lists(st.integers(0, 12), min_size=1, max_size=10).map(
+    lambda xs: sorted(xs, reverse=True)
+)
+
+
+@given(st.dictionaries(st.integers(0, 50), anchored_arrays, max_size=6))
+def test_anchored_round_trip(anchored):
+    assert skyline_to_anchored(anchored_to_skyline(anchored)) == anchored
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=12),
+    st.randoms(use_true_random=False),
+)
+def test_skyline_to_anchored_reads_any_pair_list(pairs, rnd):
+    """Unsorted input with dominated and duplicate pairs converts as its
+    skyline does."""
+    mixed = pairs + pairs[:2]
+    rnd.shuffle(mixed)
+    assert skyline_to_anchored({0: mixed}) == skyline_to_anchored(
+        {0: skyline(pairs)}
+    )
+
 @pytest.mark.parametrize("gname", sorted(GRAPHS))
 def test_property51_neighbor_support(gname, oracles):
     """Property 5.1(I): a skyline coreness (k,l) of v is supported by at
