@@ -24,11 +24,6 @@ from typing import Any
 from repro.framework.block_runtime import VertexCtx, VertexProgram
 from repro.framework.hindex import h_index
 
-#: Stand-in for a neighbor value that has not arrived yet; treated as
-#: +infinity, which is safe for monotone-decreasing iterations.
-BIG = 1 << 30
-
-
 class HIndexProgram(VertexProgram):
     """n-order in-H-index (``direction='in'``) or out-H-index (``'out'``).
 
@@ -49,22 +44,19 @@ class HIndexProgram(VertexProgram):
         return len(ctx.in_nbrs) if self.consumes == "in" else len(ctx.out_nbrs)
 
     def update(self, ctx: VertexCtx, value: int, cache: dict[int, Any]) -> int:
-        nbrs = self.consumed_nbrs(ctx)
-        h = h_index(BIG if x is None else x for x in map(cache.get, nbrs))
+        h = h_index(cache[u] for u in self.consumed_nbrs(ctx))
         return min(value, h)
 
-    def affected(self, value: int, old: int | None, new: int) -> bool:
+    def affected(self, value: int, old: int, new: int) -> bool:
         """The neighbor stops counting towards ``h >= value``."""
-        return value > new and (old is None or old >= value)
+        return old >= value > new
 
 
-def _levels_affected(value: list[int], old: list[int] | None, new: list[int]) -> bool:
+def _levels_affected(value: list[int], old: list[int], new: list[int]) -> bool:
     """Per-level H-index test of Phases II/III: at some level k the
     neighbor stops counting towards ``value[k]``. A neighbor's array has
     ``k_max + 1`` levels, so ``zip`` tests only the levels k where it is
     in G[k]."""
-    if old is None:
-        return any(v > n for v, n in zip(value, new))
     return any(o >= v > n for o, v, n in zip(old, value, new))
 
 
@@ -94,18 +86,12 @@ class LUppProgram(VertexProgram):
         nk = self.kmax
         new = list(value)
         for k in range(len(value)):
-            vals = []
-            for u in ctx.out_nbrs:
-                if nk[u] < k:
-                    continue
-                arr = cache.get(u)
-                vals.append(BIG if arr is None else arr[k])
-            h = h_index(vals)
+            h = h_index([cache[u][k] for u in ctx.out_nbrs if nk[u] >= k])
             if h < new[k]:
                 new[k] = h
         return new if new != value else value
 
-    def affected(self, value: list[int], old: list[int] | None, new: list[int]) -> bool:
+    def affected(self, value: list[int], old: list[int], new: list[int]) -> bool:
         return _levels_affected(value, old, new)
 
     def payload_size(self, value: list[int]) -> int:
@@ -147,26 +133,20 @@ class RefineProgram(VertexProgram):
                 continue
             n_in = 0
             for u in ctx.in_nbrs:
-                if nk[u] < k:
-                    continue
-                arr = cache.get(u)
-                if arr is None or (len(arr) > k and arr[k] >= cur):
+                if nk[u] >= k and cache[u][k] >= cur:
                     n_in += 1
             if n_in < k:
                 new[k] = cur - 1
                 continue
             n_out = 0
             for u in ctx.out_nbrs:
-                if nk[u] < k:
-                    continue
-                arr = cache.get(u)
-                if arr is None or (len(arr) > k and arr[k] >= cur):
+                if nk[u] >= k and cache[u][k] >= cur:
                     n_out += 1
             if n_out < cur:
                 new[k] = cur - 1
         return new if new != value else value
 
-    def affected(self, value: list[int], old: list[int] | None, new: list[int]) -> bool:
+    def affected(self, value: list[int], old: list[int], new: list[int]) -> bool:
         return _levels_affected(value, old, new)
 
     def payload_size(self, value: list[int]) -> int:

@@ -10,14 +10,9 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.core.anchored import BIG, HIndexProgram
+from repro.core.anchored import HIndexProgram
 from repro.core.dindex import Pair, n_order_d_index, skyline
 from repro.framework.block_runtime import VertexCtx, VertexProgram
-
-#: Skyline used for neighbors whose D-index has not arrived yet —
-#: dominates everything, hence safe for the monotone decreasing iteration.
-_TOP = [(BIG, BIG)]
-
 
 class SkylineProgram(VertexProgram):
     """Algorithm 5's per-vertex routine; the update is Algorithm 6.
@@ -39,24 +34,19 @@ class SkylineProgram(VertexProgram):
     def update(
         self, ctx: VertexCtx, value: list[Pair], cache: dict[int, Any]
     ) -> list[Pair]:
-        get = cache.get  # a cached value is a pair list, never None
         new = n_order_d_index(
-            [get(u, _TOP) for u in ctx.in_nbrs],
-            [get(u, _TOP) for u in ctx.out_nbrs],
+            [cache[u] for u in ctx.in_nbrs],
+            [cache[u] for u in ctx.out_nbrs],
         )
         return new if new != value else value
 
-    def affected(
-        self, value: list[Pair], old: list[Pair] | None, new: list[Pair]
-    ) -> bool:
+    def affected(self, value: list[Pair], old: list[Pair], new: list[Pair]) -> bool:
         """Some pair of ``value`` is dominated-or-equalled by a pair of
         ``old`` and by no pair of ``new``: the neighbor stops supporting it.
 
         All three are k-descending skylines, so the pairs with ``k' >= k``
         form a prefix whose last pair has the largest l. One merged scan
         tracks that l for ``old`` and ``new`` as k falls."""
-        if old is None:
-            old = _TOP
         i = j = 0
         l_old = l_new = -1
         for k, l in value:

@@ -37,11 +37,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
 
-#: Sentinel for "value not yet received from this neighbor": programs treat
-#: it as +infinity, which is safe because every value iterates downward
-#: from an upper bound.
-UNKNOWN = None
-
 
 @dataclass(frozen=True)
 class VertexCtx:
@@ -77,16 +72,17 @@ class VertexProgram(ABC):
     def update(self, ctx: VertexCtx, value: Any, cache: dict[int, Any]) -> Any:
         """Recompute the value from the neighbor cache.
 
-        Must be monotone non-increasing. ``cache`` maps a consumed
-        neighbor's vid to its last known value, or :data:`UNKNOWN`.
+        Must be monotone non-increasing. ``cache`` maps every consumed
+        neighbor's vid to its last known value: round 0 sends each value to
+        every consumer, and round 1 delivers it before any update.
         """
 
     def affected(self, value: Any, old: Any, new: Any) -> bool:
         """Whether replacing one consumed neighbor's cached ``old`` value
-        (:data:`UNKNOWN` counts as the top value) by ``new`` can change
-        what ``update`` returns for a receiver whose ``value`` is up to
-        date. False must be exact: the runtime then skips the receiver's
-        update. The default wakes the receiver on every delivery."""
+        by ``new`` can change what ``update`` returns for a receiver whose
+        ``value`` is up to date. False must be exact: the runtime then
+        skips the receiver's update. The default wakes the receiver on
+        every delivery."""
         return True
 
     def payload_size(self, value: Any) -> int:
@@ -121,7 +117,6 @@ class VRec:
     """Mutable per-vertex state held by its owning block."""
 
     ctx: VertexCtx
-    block: int
     consumers: tuple[tuple[int, int], ...]  # (consumer vid, consumer block)
     value: Any = None
     cache: dict[int, Any] = field(default_factory=dict)
@@ -185,7 +180,7 @@ def run_block_round(
     for dst, src, payload in incoming:
         rec = recs[dst]
         if dst not in hit and program.affected(
-            rec.value, rec.cache.get(src), payload
+            rec.value, rec.cache[src], payload
         ):
             hit[dst] = None
         rec.cache[src] = payload
@@ -237,7 +232,7 @@ def run_block_round(
                 continue
             crec = recs[cid]
             if cid not in queued and program.affected(
-                crec.value, crec.cache.get(vid), new
+                crec.value, crec.cache[vid], new
             ):
                 work.append(cid)
                 queued.add(cid)
@@ -247,10 +242,8 @@ def run_block_round(
             queued.add(vid)
     for vid in changed:
         rec = recs[vid]
-        seen: set[int] = set()
         for cid, cblock in rec.consumers:
-            if cblock != block_id and cid not in seen:
-                seen.add(cid)
+            if cblock != block_id:
                 outgoing.append((cblock, cid, vid, rec.value))
     return changed, outgoing
 

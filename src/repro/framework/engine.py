@@ -4,27 +4,31 @@ The distributed dataflow per superstep is::
 
     data.groupBy("block").applyInArrow(round_fn, SCHEMA)
 
-where ``data`` holds each block's state rows and the message rows
+where ``data`` holds each block's state row and the message rows
 addressed to it, tagged by ``kind``: one shuffle brings both to the task
 that runs the shared :func:`repro.framework.block_runtime.run_block_round`
-and emits the next round's state and message rows. Each round's output is
-materialised with an eager ``localCheckpoint`` (the superstep barrier):
-the lineage is cut every round and the round's stats ride on that action
-as one observed SQL aggregate, so a superstep is one Spark action. Round 0
-runs on the driver, which holds the adjacency, as in the local engine; its
-rows enter Spark as one Arrow table, which starts no Python worker. The
-UDF takes and returns Arrow tables (no pandas), and the driver and the
-workers encode rows with the one :func:`_table`. The UDF also drops the
-worker's cached ``zipimporter`` finders (:func:`_drop_zip_finders`):
-otherwise the ``importlib.invalidate_caches()`` that a reused worker runs
-before every task re-reads each cached archive's directory, which cost
-far more than the round's own work.
+and emits the block's next state row and its outgoing message rows. Each
+round's output is materialised with an eager ``localCheckpoint`` (the
+superstep barrier): the lineage is cut every round and the round's stats
+ride on that action as one observed SQL aggregate, so a superstep is one
+Spark action. Round 0 runs on the driver, which holds the adjacency, as
+in the local engine; its rows enter Spark as one Arrow table, which
+starts no Python worker. The UDF takes and returns Arrow tables (no
+pandas), and the driver and the workers encode rows with the one
+:func:`_table`. The UDF also drops the worker's cached ``zipimporter``
+finders (:func:`_drop_zip_finders`): otherwise the
+``importlib.invalidate_caches()`` that a reused worker runs before every
+task re-reads each cached archive's directory, which cost far more than
+the round's own work.
 
 Independent programs share one superstep stream (``run_many``): program
 ``i`` owns the virtual blocks ``i * n_blocks + block``, so a superstep's
 fixed cost is paid once per barrier, not once per program (as in GRAPE,
-Fan et al., SIGMOD 2017). Once a program is all quiet, its state rows
-pass through the UDF unread. The round loop is the shared
+Fan et al., SIGMOD 2017). The UDF runs every block in round 1. After
+that, a block with no mail whose state row changed no vertex in the last
+round passes through unread: no message wakes one of its vertices, and
+none re-checks itself. A program that is all quiet has only such blocks.
+The round loop is the shared
 :func:`repro.framework.block_runtime.run_rounds`; this module supplies the
 superstep. It writes no session config: adaptive query execution (on by
 default) coalesces the round's ``spark.sql.shuffle.partitions`` partitions.
@@ -34,8 +38,8 @@ it always runs on Spark; after each Spark round, its observed stats give
 the next round's frontier: the live programs' messages, plus their changed
 vertices where these re-check themselves (vertex mode, a program that is
 not ``idempotent``). Once it is at most :data:`TAIL_FRONTIER`, the driver
-collects that round's checkpoint (state and message rows), rebuilds each
-program's ``{block: {vid: VRec}}`` and pending messages, releases the
+collects that round's checkpoint (state and message rows), unpickles
+each program's ``{block: {vid: VRec}}`` and pending messages, releases the
 checkpoint, and runs the remaining rounds through
 :func:`repro.framework.local_engine.local_round` in the same loop. Rounds,
 messages and stats stay the paper's; only where the tail supersteps run
@@ -59,13 +63,20 @@ blocks are released once the next is materialised, so executors hold at
 most two rounds; spill follows ``spark.local.dir``. The trade-off: a lost
 executor fails the run loudly instead of recomputing the round.
 
-Every row of a superstep's output is ``kind, block, vid, src,
-changed_round, size`` plus one opaque ``data binary`` column: a state row
-(``kind = "s"``) carries the pickled :class:`VRec` (graph context,
-consumers, dynamic state), a message row (``kind = "m"``) the pickled
-payload. A program's own inputs (e.g. AC's ``k_max``) ride in the pickled
-UDF closure, once per task, never in a row. The programs never
-see the wire format, and the engine is generic over their value types.
+Every row of a superstep's output is ``kind, block, vid, src, changed,
+size`` plus one opaque ``data binary`` column. A block's state is one row
+(``kind = "s"``): its block id, the number of its vertices ``changed`` in
+the round that wrote it (the round's stats sum this column), and the
+pickled ``{vid: VRec}`` dict that :func:`init_run` builds and
+:func:`run_block_round` runs (each ``VRec`` holds graph context,
+consumers and dynamic state). A message row (``kind = "m"``) carries its
+destination vid, its source vid, its ``size`` and the pickled payload. A
+block's pickle is one Arrow ``binary`` value, so it must stay under
+2 GiB; after round 1 the largest analog block pickles to about 130 KB
+with 8 hash blocks and 0.9 MB as one block. A program's own inputs
+(e.g. AC's ``k_max``) ride in the pickled UDF closure, once per task,
+never in a row. The programs never see the wire format, and the engine
+is generic over their value types.
 The pickles are only ever read back from rows this engine built on the
 driver or from its own checkpoint blocks of the same run, never from
 user input.
@@ -75,8 +86,6 @@ from __future__ import annotations
 import pickle
 import sys
 import zipimport
-from collections import defaultdict
-from collections.abc import Iterable
 from typing import Any
 
 import pyarrow as pa
@@ -101,7 +110,7 @@ from repro.framework.local_engine import (
 )
 
 _ARROW = pa.schema([("kind", pa.string())] + [
-    (c, pa.int64()) for c in ("block", "vid", "src", "changed_round", "size")
+    (c, pa.int64()) for c in ("block", "vid", "src", "changed", "size")
 ] + [("data", pa.binary())])
 _SCHEMA = from_arrow_schema(_ARROW)
 
@@ -112,14 +121,18 @@ TAIL_FRONTIER = 1_000
 
 
 def _rows(
-    recs: Iterable[VRec], msgs: list[Message], program: VertexProgram, base: int
+    blocks: dict[int, dict[int, VRec]],
+    changed: dict[int, int],
+    msgs: list[Message],
+    program: VertexProgram,
+    base: int,
 ) -> list[tuple]:
-    """A state row per vertex and a message row per message, with ``base``
-    added to every block id (the program's virtual blocks)."""
+    """A state row per block, with the number of its vertices that
+    ``changed`` in the round that wrote it, and a message row per message;
+    ``base`` is added to every block id (the program's virtual blocks)."""
     rows = [
-        ("s", base + r.block, r.ctx.vid, None, r.changed_round, None,
-         pickle.dumps(r))
-        for r in recs
+        ("s", base + bid, None, None, changed[bid], None, pickle.dumps(recs))
+        for bid, recs in blocks.items()
     ]
     rows += [
         ("m", base + dblock, dvid, svid, None, program.payload_size(payload),
@@ -209,8 +222,7 @@ class SparkEngine:
         for i, program in enumerate(programs):
             blocks, pending, s = init_run(self.graph, self.partition, program, mode)
             stats.append(s)
-            recs = (r for b in blocks.values() for r in b.values())
-            rows += _rows(recs, pending, program, i * nb)
+            rows += _rows(blocks, dict.fromkeys(blocks, 0), pending, program, i * nb)
         # Round 0 is a LocalRelation; ``kept`` is the live checkpoint.
         # ``tail`` holds each program's blocks and pending messages once
         # they are on the driver.
@@ -236,15 +248,15 @@ class SparkEngine:
             # then free the round it was computed from.
             data = (
                 data.groupBy("block")
-                .applyInArrow(self._round_fn(programs, mode, r, live), _SCHEMA)
-                .observe(obs, self._round_stats(live, r))
+                .applyInArrow(self._round_fn(programs, mode, r), _SCHEMA)
+                .observe(obs, self._round_stats(live))
                 .localCheckpoint(eager=True)
             )
             _release(kept)
             kept = data
             got = obs.get["stats"]
             for i in live:
-                counts[i] = got[f"m{i}"], got[f"c{i}"], got[f"v{i}"] or 0
+                counts[i] = got[f"m{i}"], got[f"c{i}"] or 0, got[f"v{i}"] or 0
             # The next round's frontier: messages, plus the vertices that
             # re-check themselves. The run's only collect follows once it
             # is small, or once every program is quiet.
@@ -274,52 +286,56 @@ class SparkEngine:
         round, as :func:`~repro.framework.local_engine.local_round` takes
         them."""
         tail: list[tuple[dict[int, dict[int, VRec]], list[Message]]] = [
-            (defaultdict(dict), []) for _ in range(n_programs)]
+            ({}, []) for _ in range(n_programs)]
         for kind, vbid, vid, src, _, _, blob in data.collect():
             i, bid = divmod(vbid, self.n_blocks)
             blocks, pending = tail[i]
             if kind == "s":
-                blocks[bid][vid] = pickle.loads(blob)
+                blocks[bid] = pickle.loads(blob)
             else:
                 pending.append((bid, vid, src, pickle.loads(blob)))
         return tail
 
-    def _round_fn(self, programs: list[VertexProgram], mode: str, round_no: int,
-                  live: set[int]):
+    def _round_fn(self, programs: list[VertexProgram], mode: str, round_no: int):
         """The grouped UDF of one superstep; a virtual block's program is
-        ``programs[block // n_blocks]``. A program not in ``live`` was all
-        quiet, so it stays quiet: its state rows pass through unread."""
-        nb, live = self.n_blocks, frozenset(live)
+        ``programs[block // n_blocks]``. After round 1, a block with no
+        mail whose last round changed no vertex has none to re-check: its
+        state row passes through unread."""
+        nb = self.n_blocks
 
         def round_fn(group: pa.Table) -> pa.Table:
             _drop_zip_finders()
+            # A lone row is the block's state row: it has no mail.
+            quiet = group.num_rows == 1 and group["changed"][0].as_py() == 0
+            if round_no > 1 and quiet:
+                return group
             vbid = group.column("block")[0].as_py()
             i, bid = divmod(vbid, nb)
-            if i not in live:
-                return group
-            recs, incoming = {}, []
+            incoming = []
             cols = (group.column(c).to_pylist() for c in ("kind", "vid", "src", "data"))
             for kind, vid, src, data in zip(*cols):
                 if kind == "s":
-                    recs[vid] = pickle.loads(data)
+                    recs = pickle.loads(data)
                 else:
                     incoming.append((vid, src, pickle.loads(data)))
-            _, out_msgs = run_block_round(
+            changed, out_msgs = run_block_round(
                 bid, recs, incoming, programs[i], mode, round_no
             )
-            return _table(_rows(recs.values(), out_msgs, programs[i], vbid - bid))
+            return _table(_rows({bid: recs}, {bid: len(changed)}, out_msgs,
+                                programs[i], vbid - bid))
 
         return round_fn
 
-    def _round_stats(self, live: set[int], round_no: int) -> Column:
+    def _round_stats(self, live: set[int]) -> Column:
         """One observed struct of, per live program ``i``, messages ``m{i}``,
-        their volume ``v{i}`` and vertices changed in ``round_no``, ``c{i}``."""
+        their volume ``v{i}`` and the vertices changed this round, ``c{i}``,
+        summed over its state rows."""
         fields = []
         for i in sorted(live):
             mine = f"block DIV {self.n_blocks} = {i}"
             fields += [
                 f"'m{i}', count_if({mine} AND kind = 'm')",
                 f"'v{i}', sum(IF({mine} AND kind = 'm', size, 0))",
-                f"'c{i}', count_if({mine} AND changed_round = {round_no})",
+                f"'c{i}', sum(IF({mine} AND kind = 's', changed, 0))",
             ]
         return F.expr(f"named_struct({', '.join(fields)}) AS stats")

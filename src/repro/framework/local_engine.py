@@ -75,8 +75,8 @@ def init_run(
     graph: Graph, partition: dict[int, int], program: VertexProgram, mode: str
 ) -> tuple[dict[int, dict[int, VRec]], list[Message], RunStats]:
     """Round 0 of ``program`` on ``graph`` split by ``partition`` (either
-    engine): every vertex's state after ``init_block`` (its context, block
-    and the (vid, block) routing list of its value's consumers), grouped by
+    engine): every vertex's state after ``init_block`` (its context and
+    the (vid, block) routing list of its value's consumers), grouped by
     block in vid order; the messages sent; and the stats so far."""
     if mode not in ("vertex", "block"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -84,7 +84,7 @@ def init_run(
     for v in graph.vertices:
         ctx = VertexCtx(v, graph.in_nbrs[v], graph.out_nbrs[v])
         consumers = tuple((c, partition[c]) for c in program.consumers(ctx))
-        blocks[partition[v]][v] = VRec(ctx, partition[v], consumers)
+        blocks[partition[v]][v] = VRec(ctx, consumers)
     pending: list[Message] = []
     for bid, recs in blocks.items():
         pending += init_block(bid, recs, program, mode)

@@ -14,7 +14,6 @@ from repro.core.anchored import (
     run_anchored,
 )
 from repro.core.dindex import skyline
-from repro.framework.block_runtime import UNKNOWN, VertexCtx
 from repro.framework.local_engine import LocalEngine, adjacency
 from repro.framework.partition import PARTITIONERS
 from repro.graphs.generators import (
@@ -124,13 +123,3 @@ def test_anchored_random_graphs(edges, mode, n_blocks):
     anchored, _ = run_anchored(eng, mode=mode)
     assert anchored == peel_decompose(edges)[0]
 
-
-@pytest.mark.parametrize("direction", ["in", "out"])
-def test_hindex_update_reads_unknown_entry_as_missing(direction):
-    """An explicit UNKNOWN (None) cache entry counts as the top value,
-    exactly like a neighbor with no entry yet."""
-    ctx = VertexCtx(vid=0, in_nbrs=(1, 2, 3), out_nbrs=(1, 2, 3))
-    prog = HIndexProgram(direction)
-    assert prog.update(ctx, 3, {1: UNKNOWN, 2: 1, 3: UNKNOWN}) == 2
-    assert prog.update(ctx, 3, {2: 1}) == 2
-    assert prog.update(ctx, 3, dict.fromkeys((1, 2, 3), UNKNOWN)) == 3

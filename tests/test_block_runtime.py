@@ -15,7 +15,6 @@ from repro.core.anchored import (
 from repro.core.dindex import skyline
 from repro.core.skyline import SkylineProgram, run_skyline
 from repro.framework.block_runtime import (
-    UNKNOWN,
     RunStats,
     VertexCtx,
     VertexProgram,
@@ -241,10 +240,8 @@ def _draw_entry(data, prog, kmax, u):
     return _draw_levels(data, kmax[u] + 1)
 
 
-def _draw_drop(data, prog, kmax, u, old):
-    """A neighbor's next value: below or equal to ``old``, any if unknown."""
-    if old is None:
-        return _draw_entry(data, prog, kmax, u)
+def _draw_drop(data, prog, old):
+    """A neighbor's next value: below or equal to ``old``."""
     if isinstance(prog, HIndexProgram):
         return data.draw(st.integers(0, old))
     if isinstance(prog, SkylineProgram):
@@ -265,11 +262,8 @@ def _draw_vertex(data, make):
     prog = make(kmax)
     consumed = prog.consumed_nbrs(ctx)
     assume(consumed)
-    # A neighbor missing from the cache has not sent yet: UNKNOWN.
-    cache = {
-        u: _draw_entry(data, prog, kmax, u)
-        for u in consumed if data.draw(st.booleans())
-    }
+    # Round 1 delivers every consumed neighbor's value before any update.
+    cache = {u: _draw_entry(data, prog, kmax, u) for u in consumed}
     return prog, ctx, cache, kmax
 
 
@@ -304,8 +298,8 @@ def test_affected_false_means_update_keeps_value(name, data):
         value = nxt
 
     u = data.draw(st.sampled_from(consumed))
-    old = cache.get(u, UNKNOWN)
-    new = _draw_drop(data, prog, kmax, u, old)
+    old = cache[u]
+    new = _draw_drop(data, prog, old)
     if not prog.affected(value, old, new):
         assert prog.update(ctx, value, {**cache, u: new}) == value
 

@@ -18,7 +18,7 @@ from repro.baseline.peeling import peel_decompose
 from repro.core.anchored import HIndexProgram, anchored_to_skyline
 from repro.core.decompose import decompose
 from repro.framework import engine as engine_mod
-from repro.framework.block_runtime import VertexProgram
+from repro.framework.block_runtime import VertexProgram, run_block_round
 from repro.framework.engine import (
     _ARROW,
     _SCHEMA,
@@ -28,7 +28,7 @@ from repro.framework.engine import (
     _rows,
     _table,
 )
-from repro.framework.local_engine import LocalEngine, adjacency, init_run
+from repro.framework.local_engine import LocalEngine, adjacency, init_run, local_round
 from repro.framework.partition import hash_partition, metis_lite_partition
 from repro.graphs.datasets import paper_figure2
 from repro.graphs.generators import edges_to_spark, er_digraph
@@ -99,12 +99,12 @@ def test_decompose_spark_correct(spark, algo, mode, peel):
 
 
 @pytest.mark.parametrize("algo", ["AC", "SC"])
-def test_decompose_engines_agree_on_stats(spark, peel, algo):
+def test_decompose_engines_agree_on_stats(spark, peel, algo, mode="block"):
     """Rounds, message counts and volumes are engine-invariant by
     construction, in every phase — including AC's Phases II/III and SC's
     D-index run, whose programs carry the earlier phases' int-keyed values
     into the Spark superstep UDF."""
-    kw = dict(algo=algo, mode="block", partitioner="metis", n_blocks=4)
+    kw = dict(algo=algo, mode=mode, partitioner="metis", n_blocks=4)
     r_spark = decompose(spark, edges_to_spark(spark, EDGES), engine="spark", **kw)
     r_local = decompose(None, EDGES, engine="local", **kw)
     assert r_spark.anchored == r_local.anchored == peel
@@ -124,6 +124,14 @@ def test_decompose_engines_agree_on_stats(spark, peel, algo):
 def test_decompose_engines_agree_on_stats_all_spark(spark, peel, algo):
     """As above, with every round on Spark."""
     test_decompose_engines_agree_on_stats(spark, peel, algo)
+
+
+@pytest.mark.usefixtures("all_spark")
+@pytest.mark.parametrize("algo", ["AC", "SC"])
+def test_decompose_engines_agree_on_stats_all_spark_vertex(spark, peel, algo):
+    """As above, in vertex mode: Phase III's changed vertices re-check
+    themselves with no mail, so their blocks must not pass through."""
+    test_decompose_engines_agree_on_stats(spark, peel, algo, mode="vertex")
 
 
 def test_spark_engine_on_paper_figure2(spark):
@@ -246,35 +254,65 @@ def test_spark_engine_job_budget_on_paper_figure2(spark):
 
 
 def test_round0_ingest_has_engine_schema(spark):
-    """Driver-built rows, including the null ``src``/``size`` of state
-    rows and ``changed_round`` of message rows, keep the engine schema;
-    an empty graph ships zero rows."""
-    rows = [("s", 0, 1, None, 0, None, b"state"), ("m", 1, 2, 1, None, 3, b"msg")]
+    """Round 0's rows keep the engine schema: a state row per block, with
+    null ``vid``/``src``/``size``, no vertex changed and the block's pickled
+    ``{vid: VRec}`` dict, and a message row per message, with a null
+    ``changed``. An empty graph ships zero rows."""
+    prog = HIndexProgram("in")
+    blocks, pending, _ = init_run(GRAPH, PART, prog, "vertex")
+    rows = _rows(blocks, dict.fromkeys(blocks, 0), pending, prog, 0)
     df = _ingest(spark, rows)
-    ddl = ("kind string, block long, vid long, src long, changed_round long, "
+    ddl = ("kind string, block long, vid long, src long, changed long, "
            "size long, data binary")
     assert df.schema == _SCHEMA == spark.createDataFrame([], ddl).schema
-    assert [tuple(r) for r in df.collect()] == rows
+    got = [tuple(r) for r in df.collect()]
+    assert got == rows
+    states = [r for r in got if r[0] == "s"]
+    assert [r[1:6] for r in states] == [(b, None, None, 0, None) for b in blocks]
+    assert {r[1]: pickle.loads(r[6]) for r in states} == blocks
+    msgs = [r for r in got if r[0] == "m"]
+    assert len(msgs) == len(pending) > 0
+    assert all(r[4] is None for r in msgs)
     empty = _ingest(spark, [])
     assert empty.schema == _SCHEMA
     assert empty.count() == 0
 
 
-def test_round_fn_passes_quiet_program_through(spark_engine, monkeypatch):
-    """A program that is no longer live gets its group back unchanged,
-    without one of its rows being unpickled; a live one is computed."""
+def test_round_fn_passes_quiet_block_through(spark_engine, monkeypatch):
+    """After round 1, a block with no mail whose last round changed no
+    vertex comes back unread. In round 1, or with mail, or with a change
+    in its last round, a block is run from one state unpickle and comes
+    back as one state row counting its changed vertices."""
     programs = [HIndexProgram("in"), HIndexProgram("out")]
-    blocks, _, _ = init_run(GRAPH, PART, programs[1], "block")
-    group = _table(_rows(blocks[0].values(), [], programs[1], 3))
+    prog = programs[1]
+    blocks, pending, _ = init_run(GRAPH, PART, prog, "vertex")
+    pending, _ = local_round(blocks, pending, prog, "vertex", 1)
+    mail = [m for m in pending if m[0] == 0]
+    assert mail
     loads = []
     monkeypatch.setattr(engine_mod, "pickle", SimpleNamespace(
         dumps=pickle.dumps, loads=lambda b: loads.append(b) or pickle.loads(b)))
-    quiet = spark_engine._round_fn(programs, "block", 5, {0})(group)
-    assert quiet is group
+
+    def run(round_no, changed, msgs):
+        loads.clear()
+        group = _table(_rows({0: blocks[0]}, {0: changed}, msgs, prog, 3))
+        return group, spark_engine._round_fn(programs, "vertex", round_no)(group)
+
+    group, out = run(5, 0, [])
+    assert out is group
     assert loads == []
-    live = spark_engine._round_fn(programs, "block", 5, {0, 1})(group)
-    assert len(loads) == len(group)
-    assert live.schema == _ARROW
+    for round_no, changed, msgs in [(1, 0, []), (5, 2, []), (5, 0, mail)]:
+        group, out = run(round_no, changed, msgs)
+        assert out.schema == _ARROW
+        assert len(loads) == 1 + len(msgs)
+        assert loads.count(group["data"][0].as_py()) == 1
+        (state,) = [r for r in out.to_pylist() if r["kind"] == "s"]
+        recs = pickle.loads(pickle.dumps(blocks[0]))
+        inbox = [(dvid, svid, payload) for _, dvid, svid, payload in msgs]
+        want, _ = run_block_round(0, recs, inbox, prog, "vertex", round_no)
+        assert pickle.loads(state["data"]) == recs
+        assert state["changed"] == len(want)
+    assert want  # the mail lowered some value
 
 
 def test_drop_zip_finders_forgets_zipimporters(tmp_path, monkeypatch):
@@ -385,6 +423,31 @@ def test_run_many_matches_sequential_runs(spark, engine, mode):
 def test_run_many_matches_sequential_runs_all_spark(spark, mode):
     """As above, with every round on Spark."""
     test_run_many_matches_sequential_runs(spark, "spark", mode)
+
+
+@pytest.mark.usefixtures("all_spark")
+def test_checkpoint_holds_one_state_row_per_program_block(spark, monkeypatch):
+    """Every superstep's checkpoint holds exactly one state row per
+    (program, block), also once a program is all quiet."""
+    g = adjacency(STAGGERED)
+    part = hash_partition(g, 3)
+    programs = [HIndexProgram("in"), HIndexProgram("out"), _WavefrontProgram()]
+    expect = Counter(i * 3 + b for i in range(3) for b in set(part.values()))
+    seen = []
+    release = engine_mod._release
+
+    def spy(checkpoint):
+        if checkpoint is not None:
+            states = checkpoint.filter("kind = 's'").select("block").collect()
+            seen.append(Counter(r.block for r in states))
+        release(checkpoint)
+
+    monkeypatch.setattr(engine_mod, "_release", spy)
+    results = SparkEngine(spark, g, part, 3).run_many(programs, mode="vertex")
+    rounds = [len(s.msgs_per_round) - 1 for _, s in results]
+    assert len(set(rounds)) == len(programs)
+    assert len(seen) == max(rounds)
+    assert all(s == expect for s in seen)
 
 
 @pytest.mark.parametrize("mode,limit,switch", [("vertex", 3, 8), ("block", 2, 5)])
