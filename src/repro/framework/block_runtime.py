@@ -14,6 +14,12 @@ agree by construction:
   a fixpoint, with same-block deliveries applied immediately; only
   cross-block messages are emitted (and counted), matching GRAPE/Blogel.
 
+A changed value travels once per destination block, as one
+:data:`Message` naming its consumers there (as PowerGraph syncs a vertex
+once per mirror machine, Gonzalez et al., OSDI 2012); the receiving block
+fans it out. The stats count the deliveries, one per consumer, so
+messages and volume do not depend on how the deliveries are grouped.
+
 All programs used here are monotone (values only decrease in a
 well-founded order), so the asynchronous within-block schedule converges
 to the same fixpoint as the synchronous one; tests assert this against
@@ -117,21 +123,29 @@ class VRec:
     """Mutable per-vertex state held by its owning block."""
 
     ctx: VertexCtx
-    consumers: tuple[tuple[int, int], ...]  # (consumer vid, consumer block)
+    #: The consumers of the value, grouped by block: ((block, (vid, ...)),
+    #: ...), blocks in first-seen order and vids in ``program.consumers``
+    #: order.
+    consumers: tuple[tuple[int, tuple[int, ...]], ...]
     value: Any = None
     cache: dict[int, Any] = field(default_factory=dict)
     changed_round: int = 0
     self_active: bool = False  # re-check next round after a self-change (VC)
 
 
-#: A message: (dst_block, dst_vid, src_vid, payload).
-Message = tuple[int, int, int, Any]
+#: A message: (dst_block, src_vid, payload, dst_vids), one per changed
+#: source and destination block. The receiving block fans it out to each
+#: of ``dst_vids``, and the stats count each such delivery: a message row
+#: counts ``len(dst_vids)`` messages and ``len(dst_vids)`` payloads of
+#: volume.
+Message = tuple[int, int, Any, tuple[int, ...]]
 
 
 def init_block(
     block_id: int, recs: dict[int, VRec], program: VertexProgram, mode: str
 ) -> list[Message]:
-    """Round 0: compute initial values and broadcast them to consumers.
+    """Round 0: compute initial values and send each to its consumers, one
+    message per consumer block.
 
     In block mode same-block consumer caches are filled in place (no
     message), mirroring a block that knows its own vertices.
@@ -141,27 +155,29 @@ def init_block(
         rec.value = program.init_value(rec.ctx)
         rec.changed_round = 0
     for vid, rec in recs.items():
-        for cid, cblock in rec.consumers:
+        for cblock, cids in rec.consumers:
             if mode == "block" and cblock == block_id:
-                recs[cid].cache[vid] = rec.value
+                for cid in cids:
+                    recs[cid].cache[vid] = rec.value
             else:
-                out.append((cblock, cid, vid, rec.value))
+                out.append((cblock, vid, rec.value, cids))
     return out
 
 
 def run_block_round(
     block_id: int,
     recs: dict[int, VRec],
-    incoming: list[tuple[int, int, Any]],
+    incoming: list[tuple[int, Any, tuple[int, ...]]],
     program: VertexProgram,
     mode: str,
     round_no: int,
 ) -> tuple[set[int], list[Message]]:
     """Execute one superstep for one block.
 
-    ``incoming`` holds (dst_vid, src_vid, payload) triples addressed to
-    this block. Returns the set of vertices whose value changed and the
-    outgoing messages. Round 1 activates every vertex (the "after
+    ``incoming`` holds the (src_vid, payload, dst_vids) of the messages
+    addressed to this block, each delivered to every vertex of
+    ``dst_vids`` in turn. Returns the set of vertices whose value changed
+    and the outgoing messages. Round 1 activates every vertex (the "after
     receiving all messages" first update of Algorithms 2-5); later rounds
     are message-driven, plus vertices that changed in the previous round
     (a vertex whose own decrement may re-trigger its own constraint must
@@ -177,13 +193,14 @@ def run_block_round(
     """
     # Insertion-ordered set of woken vertices: all of them in round 1.
     hit: dict[int, None] = dict.fromkeys(recs) if round_no == 1 else {}
-    for dst, src, payload in incoming:
-        rec = recs[dst]
-        if dst not in hit and program.affected(
-            rec.value, rec.cache[src], payload
-        ):
-            hit[dst] = None
-        rec.cache[src] = payload
+    for src, payload, dsts in incoming:
+        for dst in dsts:
+            rec = recs[dst]
+            if dst not in hit and program.affected(
+                rec.value, rec.cache[src], payload
+            ):
+                hit[dst] = None
+            rec.cache[src] = payload
 
     active = list(hit)
     active += [v for v, r in recs.items() if r.self_active and v not in hit]
@@ -205,12 +222,13 @@ def run_block_round(
                 changed.add(vid)
         for vid in changed:
             rec = recs[vid]
-            for cid, cblock in rec.consumers:
-                outgoing.append((cblock, cid, vid, rec.value))
+            for cblock, cids in rec.consumers:
+                outgoing.append((cblock, vid, rec.value, cids))
         return changed, outgoing
 
     # Block mode: iterate to a local fixpoint with immediate same-block
-    # delivery; emit only cross-block messages, once per changed vertex.
+    # delivery; emit only cross-block messages, once per changed vertex
+    # and consumer block.
     work: deque[int] = deque(active)
     queued: set[int] = set(active)
     budget = 10_000 * max(1, len(recs)) ** 2
@@ -227,24 +245,25 @@ def run_block_round(
         rec.value = new
         rec.changed_round = round_no
         changed.add(vid)
-        for cid, cblock in rec.consumers:
-            if cblock != block_id:
-                continue
-            crec = recs[cid]
-            if cid not in queued and program.affected(
-                crec.value, crec.cache[vid], new
-            ):
-                work.append(cid)
-                queued.add(cid)
-            crec.cache[vid] = new
+        for cblock, cids in rec.consumers:
+            if cblock == block_id:
+                for cid in cids:
+                    crec = recs[cid]
+                    if cid not in queued and program.affected(
+                        crec.value, crec.cache[vid], new
+                    ):
+                        work.append(cid)
+                        queued.add(cid)
+                    crec.cache[vid] = new
+                break
         if recheck and vid not in queued:  # e.g. stepwise refinement
             work.append(vid)
             queued.add(vid)
     for vid in changed:
         rec = recs[vid]
-        for cid, cblock in rec.consumers:
+        for cblock, cids in rec.consumers:
             if cblock != block_id:
-                outgoing.append((cblock, cid, vid, rec.value))
+                outgoing.append((cblock, vid, rec.value, cids))
     return changed, outgoing
 
 

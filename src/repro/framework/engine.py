@@ -63,15 +63,19 @@ blocks are released once the next is materialised, so executors hold at
 most two rounds; spill follows ``spark.local.dir``. The trade-off: a lost
 executor fails the run loudly instead of recomputing the round.
 
-Every row of a superstep's output is ``kind, block, vid, src, changed,
-size`` plus one opaque ``data binary`` column. A block's state is one row
-(``kind = "s"``): its block id, the number of its vertices ``changed`` in
-the round that wrote it (the round's stats sum this column), and the
-pickled ``{vid: VRec}`` dict that :func:`init_run` builds and
-:func:`run_block_round` runs (each ``VRec`` holds graph context,
-consumers and dynamic state). A message row (``kind = "m"``) carries its
-destination vid, its source vid, its ``size`` and the pickled payload. A
-block's pickle is one Arrow ``binary`` value, so it must stay under
+Every row of a superstep's output is ``kind, block, src, changed, size``
+plus one opaque ``data binary`` column, and ``changed`` is the row's
+count. A block's state is one row (``kind = "s"``): its block id, the
+number of its vertices ``changed`` in the round that wrote it (the
+round's stats sum this column), and the pickled ``{vid: VRec}`` dict that
+:func:`init_run` builds and :func:`run_block_round` runs (each ``VRec``
+holds graph context, consumers and dynamic state). A message row
+(``kind = "m"``) is one changed source's value for one destination block:
+its source vid, its fan-out (the number of consumers it reaches there) in
+``changed``, its volume (payload units times fan-out) in ``size``, and one
+pickle of ``(dst_vids, payload)``. The round's stats sum the fan-outs, so
+messages and volume count deliveries, as LocalEngine's do. A block's
+pickle is one Arrow ``binary`` value, so it must stay under
 2 GiB; after round 1 the largest analog block pickles to about 130 KB
 with 8 hash blocks and 0.9 MB as one block. A program's own inputs
 (e.g. AC's ``k_max``) ride in the pickled UDF closure, once per task,
@@ -110,7 +114,7 @@ from repro.framework.local_engine import (
 )
 
 _ARROW = pa.schema([("kind", pa.string())] + [
-    (c, pa.int64()) for c in ("block", "vid", "src", "changed", "size")
+    (c, pa.int64()) for c in ("block", "src", "changed", "size")
 ] + [("data", pa.binary())])
 _SCHEMA = from_arrow_schema(_ARROW)
 
@@ -128,16 +132,18 @@ def _rows(
     base: int,
 ) -> list[tuple]:
     """A state row per block, with the number of its vertices that
-    ``changed`` in the round that wrote it, and a message row per message;
-    ``base`` is added to every block id (the program's virtual blocks)."""
+    ``changed`` in the round that wrote it, and a message row per message,
+    with its fan-out in ``changed`` and its volume, payload units times
+    fan-out, in ``size``; ``base`` is added to every block id (the
+    program's virtual blocks)."""
     rows = [
-        ("s", base + bid, None, None, changed[bid], None, pickle.dumps(recs))
+        ("s", base + bid, None, changed[bid], None, pickle.dumps(recs))
         for bid, recs in blocks.items()
     ]
     rows += [
-        ("m", base + dblock, dvid, svid, None, program.payload_size(payload),
-         pickle.dumps(payload))
-        for dblock, dvid, svid, payload in msgs
+        ("m", base + dblock, svid, len(dvids),
+         program.payload_size(payload) * len(dvids), pickle.dumps((dvids, payload)))
+        for dblock, svid, payload, dvids in msgs
     ]
     return rows
 
@@ -256,7 +262,7 @@ class SparkEngine:
             kept = data
             got = obs.get["stats"]
             for i in live:
-                counts[i] = got[f"m{i}"], got[f"c{i}"] or 0, got[f"v{i}"] or 0
+                counts[i] = got[f"m{i}"] or 0, got[f"c{i}"] or 0, got[f"v{i}"] or 0
             # The next round's frontier: messages, plus the vertices that
             # re-check themselves. The run's only collect follows once it
             # is small, or once every program is quiet.
@@ -287,13 +293,14 @@ class SparkEngine:
         them."""
         tail: list[tuple[dict[int, dict[int, VRec]], list[Message]]] = [
             ({}, []) for _ in range(n_programs)]
-        for kind, vbid, vid, src, _, _, blob in data.collect():
+        for kind, vbid, src, _, _, blob in data.collect():
             i, bid = divmod(vbid, self.n_blocks)
             blocks, pending = tail[i]
             if kind == "s":
                 blocks[bid] = pickle.loads(blob)
             else:
-                pending.append((bid, vid, src, pickle.loads(blob)))
+                dvids, payload = pickle.loads(blob)
+                pending.append((bid, src, payload, dvids))
         return tail
 
     def _round_fn(self, programs: list[VertexProgram], mode: str, round_no: int):
@@ -312,12 +319,13 @@ class SparkEngine:
             vbid = group.column("block")[0].as_py()
             i, bid = divmod(vbid, nb)
             incoming = []
-            cols = (group.column(c).to_pylist() for c in ("kind", "vid", "src", "data"))
-            for kind, vid, src, data in zip(*cols):
+            cols = (group.column(c).to_pylist() for c in ("kind", "src", "data"))
+            for kind, src, data in zip(*cols):
                 if kind == "s":
                     recs = pickle.loads(data)
                 else:
-                    incoming.append((vid, src, pickle.loads(data)))
+                    dvids, payload = pickle.loads(data)
+                    incoming.append((src, payload, dvids))
             changed, out_msgs = run_block_round(
                 bid, recs, incoming, programs[i], mode, round_no
             )
@@ -327,14 +335,15 @@ class SparkEngine:
         return round_fn
 
     def _round_stats(self, live: set[int]) -> Column:
-        """One observed struct of, per live program ``i``, messages ``m{i}``,
-        their volume ``v{i}`` and the vertices changed this round, ``c{i}``,
-        summed over its state rows."""
+        """One observed struct of, per live program ``i``, messages ``m{i}``
+        (the fan-outs of its message rows), their volume ``v{i}`` and the
+        vertices changed this round, ``c{i}``, summed over its state rows.
+        A sum over no rows is NULL."""
         fields = []
         for i in sorted(live):
             mine = f"block DIV {self.n_blocks} = {i}"
             fields += [
-                f"'m{i}', count_if({mine} AND kind = 'm')",
+                f"'m{i}', sum(IF({mine} AND kind = 'm', changed, 0))",
                 f"'v{i}', sum(IF({mine} AND kind = 'm', size, 0))",
                 f"'c{i}', sum(IF({mine} AND kind = 's', changed, 0))",
             ]

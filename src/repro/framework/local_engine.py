@@ -76,25 +76,35 @@ def init_run(
 ) -> tuple[dict[int, dict[int, VRec]], list[Message], RunStats]:
     """Round 0 of ``program`` on ``graph`` split by ``partition`` (either
     engine): every vertex's state after ``init_block`` (its context and
-    the (vid, block) routing list of its value's consumers), grouped by
-    block in vid order; the messages sent; and the stats so far."""
+    its value's consumers grouped by block), grouped by block in vid
+    order; the messages sent; and the stats so far."""
     if mode not in ("vertex", "block"):
         raise ValueError(f"unknown mode {mode!r}")
     blocks: dict[int, dict[int, VRec]] = defaultdict(dict)
     for v in graph.vertices:
         ctx = VertexCtx(v, graph.in_nbrs[v], graph.out_nbrs[v])
-        consumers = tuple((c, partition[c]) for c in program.consumers(ctx))
+        groups: dict[int, list[int]] = {}
+        for c in program.consumers(ctx):
+            groups.setdefault(partition[c], []).append(c)
+        consumers = tuple((b, tuple(cids)) for b, cids in groups.items())
         blocks[partition[v]][v] = VRec(ctx, consumers)
     pending: list[Message] = []
     for bid, recs in blocks.items():
         pending += init_block(bid, recs, program, mode)
-    stats = RunStats(msgs_per_round=[len(pending)], changed_per_round=[0],
-                     volume_per_round=[_volume(program, pending)])
+    n_msgs, volume = _tally(program, pending)
+    stats = RunStats(msgs_per_round=[n_msgs], changed_per_round=[0],
+                     volume_per_round=[volume])
     return blocks, pending, stats
 
 
-def _volume(program: VertexProgram, msgs: list[Message]) -> int:
-    return sum(program.payload_size(m[3]) for m in msgs)
+def _tally(program: VertexProgram, msgs: list[Message]) -> tuple[int, int]:
+    """``(messages, volume)`` of ``msgs``, counted per delivery: a message
+    to ``k`` vertices counts ``k`` times."""
+    n_msgs = volume = 0
+    for _, _, payload, dvids in msgs:
+        n_msgs += len(dvids)
+        volume += program.payload_size(payload) * len(dvids)
+    return n_msgs, volume
 
 
 def local_round(
@@ -112,9 +122,9 @@ def local_round(
 
     ``pending`` is emptied once routed, so that the round's messages and
     the next round's are never held at once."""
-    inbox: dict[int, list[tuple[int, int, Any]]] = defaultdict(list)
-    for dblock, dvid, svid, payload in pending:
-        inbox[dblock].append((dvid, svid, payload))
+    inbox: dict[int, list[tuple[int, Any, tuple[int, ...]]]] = defaultdict(list)
+    for dblock, svid, payload, dvids in pending:
+        inbox[dblock].append((svid, payload, dvids))
     pending.clear()
     n_changed, out = 0, []
     for bid, recs in blocks.items():
@@ -127,7 +137,8 @@ def local_round(
         )
         n_changed += len(changed)
         out += msgs
-    return out, (len(out), n_changed, _volume(program, out))
+    n_msgs, volume = _tally(program, out)
+    return out, (n_msgs, n_changed, volume)
 
 
 def block_values(blocks: dict[int, dict[int, VRec]], stats: RunStats) -> dict[int, Any]:

@@ -107,9 +107,31 @@ def test_all_variants_agree(results, name):
 #: EXPERIMENTS.md's Exp-3 rows (hash partitioner, 8 blocks):
 #: (rounds, messages, volume in integer units).
 EXP3 = {
-    ("SL", "SC", "block"): (49, 160_618, 575_882),
     ("AM", "AC", "vertex"): (24, 190_075, 698_340),
+    ("AM", "AC", "block"): (22, 161_910, 596_622),
+    ("AM", "SC", "vertex"): (25, 177_867, 221_096),
+    ("AM", "SC", "block"): (23, 151_877, 189_680),
+    ("CT", "AC", "vertex"): (29, 130_248, 200_490),
+    ("CT", "AC", "block"): (29, 111_709, 172_025),
+    ("CT", "SC", "vertex"): (29, 130_248, 166_549),
+    ("CT", "SC", "block"): (29, 111_709, 143_349),
+    ("EE", "AC", "vertex"): (22, 30_826, 55_997),
+    ("EE", "AC", "block"): (22, 26_789, 49_039),
+    ("EE", "SC", "vertex"): (22, 30_826, 43_291),
+    ("EE", "SC", "block"): (22, 26_789, 37_661),
+    ("SL", "AC", "vertex"): (47, 152_085, 1_405_331),
+    ("SL", "AC", "block"): (44, 123_901, 1_102_537),
+    ("SL", "SC", "vertex"): (54, 191_160, 692_951),
+    ("SL", "SC", "block"): (49, 160_618, 575_882),
+    ("WV", "AC", "vertex"): (43, 99_304, 731_914),
+    ("WV", "AC", "block"): (36, 74_741, 520_065),
+    ("WV", "SC", "vertex"): (44, 89_040, 203_949),
+    ("WV", "SC", "block"): (38, 76_075, 173_700),
 }
+
+
+def test_exp3_pins_every_computed_run(results):
+    assert set(EXP3) == set(results)
 
 
 @pytest.mark.parametrize("key", sorted(EXP3))

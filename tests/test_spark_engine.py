@@ -255,24 +255,35 @@ def test_spark_engine_job_budget_on_paper_figure2(spark):
 
 def test_round0_ingest_has_engine_schema(spark):
     """Round 0's rows keep the engine schema: a state row per block, with
-    null ``vid``/``src``/``size``, no vertex changed and the block's pickled
-    ``{vid: VRec}`` dict, and a message row per message, with a null
-    ``changed``. An empty graph ships zero rows."""
+    null ``src``/``size``, no vertex changed and the block's pickled
+    ``{vid: VRec}`` dict, and a message row per (source, destination
+    block), with its fan-out in ``changed``, payload units times fan-out
+    in ``size`` and the pickled ``(dst_vids, payload)``. An empty graph
+    ships zero rows."""
     prog = HIndexProgram("in")
-    blocks, pending, _ = init_run(GRAPH, PART, prog, "vertex")
+    blocks, pending, stats = init_run(GRAPH, PART, prog, "vertex")
     rows = _rows(blocks, dict.fromkeys(blocks, 0), pending, prog, 0)
     df = _ingest(spark, rows)
-    ddl = ("kind string, block long, vid long, src long, changed long, "
-           "size long, data binary")
+    ddl = "kind string, block long, src long, changed long, size long, data binary"
     assert df.schema == _SCHEMA == spark.createDataFrame([], ddl).schema
     got = [tuple(r) for r in df.collect()]
     assert got == rows
     states = [r for r in got if r[0] == "s"]
-    assert [r[1:6] for r in states] == [(b, None, None, 0, None) for b in blocks]
-    assert {r[1]: pickle.loads(r[6]) for r in states} == blocks
-    msgs = [r for r in got if r[0] == "m"]
-    assert len(msgs) == len(pending) > 0
-    assert all(r[4] is None for r in msgs)
+    assert [r[1:5] for r in states] == [(b, None, 0, None) for b in blocks]
+    assert {r[1]: pickle.loads(r[5]) for r in states} == blocks
+    msgs = [r[1:] for r in got if r[0] == "m"]
+    want = []
+    for recs in blocks.values():
+        for v, rec in recs.items():
+            by_block: dict[int, list[int]] = {}
+            for c in rec.ctx.out_nbrs:  # the consumers of an in-H-index
+                by_block.setdefault(PART[c], []).append(c)
+            for b, cids in by_block.items():
+                want.append((b, v, len(cids), len(cids), (tuple(cids), rec.value)))
+    assert [(b, v, n, size, pickle.loads(blob))
+            for b, v, n, size, blob in msgs] == want
+    assert len(msgs) < sum(n for _, _, n, _, _ in msgs) == stats.msgs_per_round[0]
+    assert sum(size for _, _, _, size, _ in msgs) == stats.volume_per_round[0]
     empty = _ingest(spark, [])
     assert empty.schema == _SCHEMA
     assert empty.count() == 0
@@ -308,7 +319,7 @@ def test_round_fn_passes_quiet_block_through(spark_engine, monkeypatch):
         assert loads.count(group["data"][0].as_py()) == 1
         (state,) = [r for r in out.to_pylist() if r["kind"] == "s"]
         recs = pickle.loads(pickle.dumps(blocks[0]))
-        inbox = [(dvid, svid, payload) for _, dvid, svid, payload in msgs]
+        inbox = [(svid, payload, dvids) for _, svid, payload, dvids in msgs]
         want, _ = run_block_round(0, recs, inbox, prog, "vertex", round_no)
         assert pickle.loads(state["data"]) == recs
         assert state["changed"] == len(want)
