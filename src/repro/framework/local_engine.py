@@ -3,7 +3,9 @@
 Runs the exact same per-block semantics as the Spark engine (both call
 :func:`repro.framework.block_runtime.run_block_round`), with message
 routing done in process. Used as the fast oracle in unit tests and to
-cross-validate the distributed engine.
+cross-validate the distributed engine. :meth:`LocalEngine.run` runs
+round 0, every round and the value read-out with automatic cyclic
+garbage collection paused (:func:`~repro.framework.block_runtime.paused_gc`).
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ from repro.framework.block_runtime import (
     VertexProgram,
     VRec,
     init_block,
+    paused_gc,
     run_block_round,
     run_rounds,
 )
@@ -174,6 +177,7 @@ class LocalEngine:
         superstep barrier for independent programs to share."""
         return [self.run(p, mode, max_rounds) for p in programs]
 
+    @paused_gc()
     def run(
         self,
         program: VertexProgram,

@@ -1,5 +1,7 @@
 """Block-runtime semantics tests: message accounting, activation rules,
-mode equivalence, and the convergence metrics."""
+mode equivalence, the convergence metrics, and the paused cyclic GC."""
+import gc
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from repro.framework.block_runtime import (
     RunStats,
     VertexCtx,
     VertexProgram,
+    paused_gc,
     run_rounds,
 )
 from repro.framework.local_engine import LocalEngine, adjacency
@@ -392,3 +395,57 @@ def test_self_recheck_skip_does_not_drift(gname, algo, mode, pname, monkeypatch)
     """Skipping an idempotent program's self re-check changes no value
     and no per-round stat against re-checking every changed vertex."""
     _assert_no_drift(gname, algo, mode, pname, monkeypatch, idempotent=False)
+
+
+class GcSpy(HIndexProgram):
+    """An in-H-index that records ``gc.isenabled()`` at every update."""
+
+    def __init__(self):
+        super().__init__("in")
+        self.seen: set[bool] = set()
+
+    def update(self, ctx, value, cache):
+        self.seen.add(gc.isenabled())
+        return super().update(ctx, value, cache)
+
+
+@pytest.mark.parametrize("mode", ["vertex", "block"])
+@pytest.mark.parametrize("fails", [False, True], ids=["ok", "raises"])
+def test_local_run_pauses_gc_and_restores_callers_state(gc_before, mode, fails):
+    """Updates run with automatic cyclic GC off, and the caller's state
+    comes back after the run, also when it raises."""
+    spy, eng = GcSpy(), LocalEngine(GRAPH, hash_partition(GRAPH, 4))
+    if fails:
+        with pytest.raises(RuntimeError, match="no convergence"):
+            eng.run(spy, mode=mode, max_rounds=1)
+    else:
+        eng.run(spy, mode=mode)
+    assert gc.isenabled() is gc_before
+    assert spy.seen == {False}
+
+
+def test_engine_runs_leave_no_cyclic_garbage():
+    """What pausing the collector relies on: a run of every program in
+    both modes leaves no reference cycle, so reference counting frees all
+    of its garbage (a warm-up run first fills lazy caches). The collector
+    stays paused until the count: once re-enabled, it would collect such
+    cycles at its next allocation."""
+    g = adjacency(load("WV"))
+    eng = LocalEngine(g, hash_partition(g, 8))
+    kmax, _ = eng.run(HIndexProgram("in"))
+    lmax, _ = eng.run(HIndexProgram("out"))
+    lupp, _ = eng.run(LUppProgram(kmax))
+
+    def programs():
+        return [HIndexProgram("in"), HIndexProgram("out"), LUppProgram(kmax),
+                RefineProgram(kmax, lupp), SkylineProgram(kmax, lmax)]
+
+    for mode in ("vertex", "block"):
+        for prog in programs():
+            eng.run(prog, mode=mode)
+    gc.collect()
+    for mode in ("vertex", "block"):
+        for prog in programs():
+            with paused_gc():
+                eng.run(prog, mode=mode)
+                assert gc.collect() == 0, (type(prog).__name__, mode)

@@ -5,7 +5,8 @@ ids at the ends of int64 go through every consumer of the graph: the
 partitioners, ``decompose()`` on both engines (block mode, HASH and
 FENNEL) and the peeling oracle. All must agree. On the same graphs, with
 a drawn partition, every round's messages carry each changed value once
-per destination block and the stats count the deliveries.
+per destination block and the stats count the deliveries, and every SC
+value is already a k-descending skyline.
 """
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 from repro.baseline.peeling import peel_decompose
 from repro.core.anchored import HIndexProgram, LUppProgram, RefineProgram
 from repro.core.decompose import decompose
-from repro.core.skyline import SkylineProgram
+from repro.core.dindex import skyline
+from repro.core.skyline import SkylineProgram, run_skyline
 from repro.framework.block_runtime import VertexCtx
 from repro.framework.local_engine import LocalEngine, adjacency, init_run, local_round
 from repro.framework.partition import PARTITIONERS
@@ -50,6 +52,18 @@ def test_local_engine_matches_peeling(algo, pname, edges):
     res = decompose(None, edges, algo=algo, mode="block", partitioner=pname,
                     n_blocks=3, engine="local")
     assert res.anchored == peel_decompose(edges)[0]
+
+
+@pytest.mark.parametrize("mode", ["vertex", "block"])
+@settings(max_examples=30, deadline=None)
+@given(edges=DIGRAPHS)
+@example(edges=DEGENERATE)
+def test_skyline_values_need_no_normalising(mode, edges):
+    """``run_skyline`` returns the program's values as they are: each is
+    its own skyline (k descending, no dominated pair)."""
+    graph = adjacency(edges)
+    sc, _ = run_skyline(LocalEngine(graph, PARTITIONERS["hash"](graph, 3)), mode)
+    assert all(skyline(v) == v for v in sc.values())
 
 
 @pytest.mark.parametrize("algo", ["AC", "SC"])
