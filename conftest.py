@@ -1,4 +1,3 @@
-import gc
 import os
 import sys
 
@@ -93,13 +92,3 @@ def all_spark(monkeypatch):
     from repro.framework import engine
 
     monkeypatch.setattr(engine, "TAIL_FRONTIER", -1)
-
-
-@pytest.fixture(params=[True, False], ids=["gc_on", "gc_off"])
-def gc_before(request):
-    """The caller's cyclic-GC state: enabled, then disabled, for the test,
-    and the state it found restored after it."""
-    was = gc.isenabled()
-    (gc.enable if request.param else gc.disable)()
-    yield request.param
-    (gc.enable if was else gc.disable)()

@@ -35,18 +35,19 @@ supporter of that value in place leaves ``update``'s result unchanged.
 Values and per-round messages/changes/volume are therefore the same as
 when every receiver is woken.
 
-Each engine runs its rounds inside :func:`paused_gc`, which pauses
-CPython's automatic cyclic garbage collector: ``LocalEngine.run`` as a
-whole, ``SparkEngine.run_many`` on the driver and each Spark worker's
-grouped UDF from the state unpickle to its output table. The runtime's
-state holds no reference cycles (``VRec``s, caches, messages and stats
-are trees of tuples, lists, dicts and ints), so reference counting frees
-all of its garbage; the collector would only walk the live heap, which is
-the run's state, once per allocation threshold and free nothing. The
-caller's GC state is restored on exit. The switch is process-wide, so
-another thread collects no cycles while a run is on, and runs in
-concurrent threads leave the collector enabled once the last one ends if
-it was enabled before: a concurrent caller only loses speed.
+``LocalEngine.run`` runs inside :func:`paused_gc`, which pauses CPython's
+automatic cyclic garbage collector for round 0, every round and the
+value read-out. The runtime's state holds no reference cycles
+(``VRec``s, caches, messages and stats are trees of tuples, lists, dicts
+and ints), so reference counting frees all of its garbage; the collector
+would only walk the live heap, which is the run's state, once per
+allocation threshold and free nothing. The caller's GC state is restored
+on exit. The switch is process-wide, so another thread collects no
+cycles while a run is on, and runs in concurrent threads leave the
+collector enabled once the last one ends if it was enabled before: a
+concurrent caller only loses speed. The Spark engine does not pause it:
+each py4j ``JavaObject`` its driver loop touches caches its methods with
+a reference back to itself, a cycle that only the collector frees.
 """
 from __future__ import annotations
 

@@ -84,15 +84,6 @@ is generic over their value types.
 The pickles are only ever read back from rows this engine built on the
 driver or from its own checkpoint blocks of the same run, never from
 user input.
-
-Automatic cyclic garbage collection is paused
-(:func:`repro.framework.block_runtime.paused_gc`) for the whole of
-:meth:`SparkEngine.run_many` on the driver (round 0, the supersteps and
-the driver tail) and, in a worker, for a block's round from its state
-unpickle to its output table, where allocation is heaviest. The run's
-state has no reference cycles, so reference counting frees all of its
-garbage; the caller's (or the reused worker's) GC state comes back
-afterwards, and a concurrent caller only loses speed.
 """
 from __future__ import annotations
 
@@ -111,7 +102,6 @@ from repro.framework.block_runtime import (
     RunStats,
     VertexProgram,
     VRec,
-    paused_gc,
     run_block_round,
     run_rounds,
 )
@@ -223,7 +213,6 @@ class SparkEngine:
     ) -> tuple[dict[int, Any], RunStats]:
         return self.run_many([program], mode, max_rounds)[0]
 
-    @paused_gc()
     def run_many(
         self,
         programs: list[VertexProgram],
@@ -331,18 +320,17 @@ class SparkEngine:
             i, bid = divmod(vbid, nb)
             incoming = []
             cols = (group.column(c).to_pylist() for c in ("kind", "src", "data"))
-            with paused_gc():
-                for kind, src, data in zip(*cols):
-                    if kind == "s":
-                        recs = pickle.loads(data)
-                    else:
-                        dvids, payload = pickle.loads(data)
-                        incoming.append((src, payload, dvids))
-                changed, out_msgs = run_block_round(
-                    bid, recs, incoming, programs[i], mode, round_no
-                )
-                return _table(_rows({bid: recs}, {bid: len(changed)}, out_msgs,
-                                    programs[i], vbid - bid))
+            for kind, src, data in zip(*cols):
+                if kind == "s":
+                    recs = pickle.loads(data)
+                else:
+                    dvids, payload = pickle.loads(data)
+                    incoming.append((src, payload, dvids))
+            changed, out_msgs = run_block_round(
+                bid, recs, incoming, programs[i], mode, round_no
+            )
+            return _table(_rows({bid: recs}, {bid: len(changed)}, out_msgs,
+                                programs[i], vbid - bid))
 
         return round_fn
 

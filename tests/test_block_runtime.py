@@ -397,6 +397,16 @@ def test_self_recheck_skip_does_not_drift(gname, algo, mode, pname, monkeypatch)
     _assert_no_drift(gname, algo, mode, pname, monkeypatch, idempotent=False)
 
 
+@pytest.fixture(params=[True, False], ids=["gc_on", "gc_off"])
+def gc_before(request):
+    """The caller's cyclic-GC state: enabled, then disabled, for the test,
+    and the state it found restored after it."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
 class GcSpy(HIndexProgram):
     """An in-H-index that records ``gc.isenabled()`` at every update."""
 

@@ -4,7 +4,6 @@ local reference engine (values, iteration counts, message counts), and
 correct vs the peeling oracle.
 
 Graphs are kept small — every superstep is a real Spark job."""
-import gc
 import pickle
 import sys
 import zipfile
@@ -33,7 +32,6 @@ from repro.framework.local_engine import LocalEngine, adjacency, init_run, local
 from repro.framework.partition import hash_partition, metis_lite_partition
 from repro.graphs.datasets import paper_figure2
 from repro.graphs.generators import edges_to_spark, er_digraph
-from tests.test_block_runtime import GcSpy
 
 EDGES = er_digraph(40, 220, seed=11)
 GRAPH = adjacency(EDGES)
@@ -326,44 +324,6 @@ def test_round_fn_passes_quiet_block_through(spark_engine, monkeypatch):
         assert pickle.loads(state["data"]) == recs
         assert state["changed"] == len(want)
     assert want  # the mail lowered some value
-
-
-@pytest.mark.parametrize("fails", [False, True], ids=["ok", "raises"])
-def test_run_many_pauses_gc_and_restores_callers_state(spark_engine, gc_before, fails):
-    """The driver's rounds (round 0 and the tail) update with automatic
-    cyclic GC off, and the caller's state comes back after the run, also
-    when it raises."""
-    spy = GcSpy()
-    if fails:
-        with pytest.raises(RuntimeError, match="no convergence"):
-            spark_engine.run_many([spy], "vertex", max_rounds=1)
-        assert spy.seen == set()  # round 1 runs on Spark
-    else:
-        (_, stats), = spark_engine.run_many([spy], "vertex")
-        assert stats.driver_round is not None
-        assert spy.seen == {False}
-    assert gc.isenabled() is gc_before
-
-
-@pytest.mark.parametrize("fails", [False, True], ids=["ok", "raises"])
-def test_round_fn_pauses_gc_and_restores_callers_state(spark_engine, gc_before, fails):
-    """A worker runs a block's updates with automatic cyclic GC off and
-    leaves its GC state as it found it, also when the block raises (here,
-    mail for a vertex the block does not hold)."""
-    spy = GcSpy()
-    blocks, pending, _ = init_run(GRAPH, PART, spy, "vertex")
-    mail = [m for m in pending if m[0] == 0]
-    if fails:
-        mail.append((0, 0, 0, (max(GRAPH.vertices) + 1,)))
-    group = _table(_rows({0: blocks[0]}, {0: 0}, mail, spy, 0))
-    round_fn = spark_engine._round_fn([spy], "vertex", 1)
-    if fails:
-        with pytest.raises(KeyError):
-            round_fn(group)
-    else:
-        round_fn(group)
-    assert spy.seen == (set() if fails else {False})
-    assert gc.isenabled() is gc_before
 
 
 def test_drop_zip_finders_forgets_zipimporters(tmp_path, monkeypatch):
